@@ -333,10 +333,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls and the
+# handlers only read the namespace it returns, so run() is reentrant
+_PARSER = _build_parser()
+
+
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InconsistentDescriptor
+from .errors import InconsistentDescriptor, RenderParseError
 from .groups import TRIVIAL, SymGroup, f2_rank, mod2_rank, parse_group, render
 from .spaces import SpaceDescriptor, betti, sq2z_on_pic
 from .topko import kok, kok_reduced, sq2_integral
@@ -164,19 +164,33 @@ def report_to_json(report: ComparisonReport) -> str:
     return json.dumps(data)
 
 
+def _entry(data, key: str, typ):
+    # bool is an int to Python but not to JSON
+    if not isinstance(data, dict) or key not in data:
+        raise RenderParseError("report: missing key %r" % key)
+    val = data[key]
+    if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
+        raise RenderParseError("report: %r has the wrong type" % key)
+    return val
+
+
 def report_from_json(source) -> ComparisonReport:
-    data = json.loads(source)
+    try:
+        data = json.loads(source)
+    except (TypeError, ValueError) as exc:
+        raise RenderParseError("report is not valid JSON: %s" % exc) from None
     rows = tuple(
-        ShiftRow(r["shift"], parse_group(r["W"]), parse_group(r["KOK"]),
-                 r["iso"])
-        for r in data["rows"]
+        ShiftRow(_entry(r, "shift", int), parse_group(_entry(r, "W", str)),
+                 parse_group(_entry(r, "KOK", str)), _entry(r, "iso", bool))
+        for r in _entry(data, "rows", list)
     )
-    m = data["mismatch"]
+    m = _entry(data, "mismatch", (dict, type(None)))
     return ComparisonReport(
-        kind=data["kind"],
-        twist=data["twist"],
-        pic_surjective=data["pic_surjective"],
+        kind=_entry(data, "kind", str),
+        twist=_entry(data, "twist", str),
+        pic_surjective=_entry(data, "pic_surjective", bool),
         rows=rows,
-        verdict=data["verdict"],
-        mismatch=None if m is None else (m["shift"], m["w_rank"], m["kok_rank"]),
+        verdict=_entry(data, "verdict", str),
+        mismatch=None if m is None else tuple(
+            _entry(m, key, int) for key in ("shift", "w_rank", "kok_rank")),
     )

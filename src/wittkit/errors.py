@@ -76,6 +76,12 @@ class UnknownName(WittkitError):
 
 
 class RenderParseError(WittkitError):
-    """A group rendering string does not follow the grammar."""
+    """A group rendering string or a serialized report does not follow its grammar."""
 
     signal = "render-parse"
+
+
+class InvariantViolation(WittkitError):
+    """An internal cross-check failed: a computed group broke a proven invariant."""
+
+    signal = "invariant-violation"

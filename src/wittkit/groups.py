@@ -15,7 +15,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import RenderParseError, ShapeMismatch, UnsupportedDivisibleMap
+from .errors import (
+    InvariantViolation,
+    RenderParseError,
+    ShapeMismatch,
+    UnsupportedDivisibleMap,
+)
 
 Matrix = tuple
 
@@ -320,6 +325,17 @@ def two_torsion(g: SymGroup) -> SymGroup:
 
 def mod2_rank(g: SymGroup) -> int:
     return g.free_rank + _even_count(g)
+
+
+def exponent_two(g: SymGroup) -> SymGroup:
+    """Return g, which must be an F2-vector space (Witt groups here are).
+
+    A failure is a programming error, raised even under ``python -O``.
+    """
+    if not (g.free_rank == 0 and g.divisible_rank == 0
+            and all(d == 2 for d in g.torsion)):
+        raise InvariantViolation("expected exponent two, got %s" % render(g))
+    return g
 
 
 # ---------------------------------------------------------------------------

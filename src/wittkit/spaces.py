@@ -121,9 +121,11 @@ def make_surface(
     if not 0 <= rho <= b2:
         raise InconsistentDescriptor("rho: need 0 <= rho <= b2 = %d, got %d" % (b2, rho))
     if projective:
-        if t3 != nu:
+        # tors H^3 = tors H_1 = tors H^2 by duality and universal coefficients
+        if table[3].torsion != table[2].torsion:
             raise InconsistentDescriptor(
-                "projective-duality: torsion of H^3 must match H^2 (t3=%d, nu=%d)" % (t3, nu)
+                "projective-duality: torsion of H^3 must match H^2 (%s vs %s)"
+                % (render(table[3]), render(table[2]))
             )
         if table[4] != Z:
             raise InconsistentDescriptor("projective-h4: H^4 of a projective surface is Z")
@@ -264,7 +266,9 @@ def _matrix_to_json(m) -> list:
 def _matrix_from_json(data, name: str) -> tuple:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise InconsistentDescriptor("%s must be a list of rows" % name)
-    return tuple(tuple(int(x) for x in row) for row in data)
+    if any(type(x) is not int for row in data for x in row):
+        raise InconsistentDescriptor("%s entries must be integers" % name)
+    return tuple(tuple(row) for row in data)
 
 
 def descriptor_to_json(space: SpaceDescriptor) -> str:
@@ -321,11 +325,12 @@ def descriptor_from_json(source) -> SpaceDescriptor:
             optional={"s1"},
         )
         raw = data.get("h_int")
-        if not isinstance(raw, list) or len(raw) != 5:
-            raise InconsistentDescriptor("h_int must list five groups H^0..H^4")
+        if (not isinstance(raw, list) or len(raw) != 5
+                or not all(isinstance(s, str) for s in raw)):
+            raise InconsistentDescriptor("h_int must list five group strings H^0..H^4")
         try:
             table = tuple(parse_group(s) for s in raw)
-        except (RenderParseError, TypeError) as exc:
+        except RenderParseError as exc:
             raise InconsistentDescriptor("h_int entry unreadable: %s" % exc)
         s1 = data.get("s1")
         return make_surface(

@@ -26,6 +26,7 @@ from .groups import (
     direct_sum,
     direct_sum_all,
     elementary_two,
+    exponent_two,
     f2_mul,
     f2_rank,
     free,
@@ -50,12 +51,6 @@ def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
     if degree > 2 * space.dim:
         return TRIVIAL
     return singular_h(space, degree, coefficients)
-
-
-def _exp_two(g: SymGroup) -> SymGroup:
-    assert g.free_rank == 0 and g.divisible_rank == 0
-    assert all(d == 2 for d in g.torsion)
-    return g
 
 
 def _checked_twist(space: SpaceDescriptor, twist) -> str:
@@ -193,7 +188,7 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
             g = direct_sum(Z2, h1) if i == 0 else TRIVIAL
     else:
         g = _kok_surface(space, i)
-    return _exp_two(g)
+    return exponent_two(g)
 
 
 def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -202,9 +197,9 @@ def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymG
         if space.kind == "point":
             return TRIVIAL
         if space.kind == "curve":
-            return _exp_two(_h(space, 1, MOD2))
+            return exponent_two(_h(space, 1, MOD2))
         image_defect = _h(space, 2, MOD2).ngens - f2_rank(space.pi2)
-        return _exp_two(
+        return exponent_two(
             direct_sum(_h(space, 1, MOD2), elementary_two(image_defect))
         )
     return kok(space, shift, tw)

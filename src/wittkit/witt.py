@@ -31,6 +31,7 @@ from .groups import (
     direct_sum_all,
     divisible,
     elementary_two,
+    exponent_two,
     f2_rank,
     free,
     image_rank2,
@@ -53,13 +54,6 @@ def normalize_twist(twist) -> str:
                       % (twist, TRIVIAL_TWIST, ODD_TWIST))
 
 
-def _assert_exponent_two(g: SymGroup) -> SymGroup:
-    # Witt groups are 2-torsion; anything else here is a programming error.
-    assert g.free_rank == 0 and g.divisible_rank == 0
-    assert all(d == 2 for d in g.torsion)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # point
 
@@ -72,7 +66,7 @@ def gw_point(i: int) -> SymGroup:
 
 
 def w_point(i: int) -> SymGroup:
-    return _assert_exponent_two(_W_POINT[i % 4])
+    return exponent_two(_W_POINT[i % 4])
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +124,7 @@ def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
         g = etale_h(space, 2)
     else:
         g = TRIVIAL
-    return _assert_exponent_two(g)
+    return exponent_two(g)
 
 
 def gw_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -154,7 +148,7 @@ def w_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymG
     _require_curve(space)
     tw = _curve_twist(space, twist)
     if tw == TRIVIAL_TWIST and i % 4 == 0:
-        return _assert_exponent_two(etale_h(space, 1))
+        return exponent_two(etale_h(space, 1))
     return w_curve(space, i, tw)
 
 
@@ -197,13 +191,13 @@ def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
             assert mod2_rank(g) == b[1] + space.rho + 2 * space.nu - s1_rank
         elif i == 2:
             assert mod2_rank(g) == space.ch2_mod2_rank - s1_rank
-    return _assert_exponent_two(g)
+    return exponent_two(g)
 
 
 def w_surface_reduced(space: SpaceDescriptor, i: int) -> SymGroup:
     if i % 4 == 0:
         _, w1, w2 = w0_graded_surface(space)
-        return _assert_exponent_two(direct_sum(w1, w2))
+        return exponent_two(direct_sum(w1, w2))
     return w_surface(space, i)
 
 

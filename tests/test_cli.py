@@ -19,6 +19,7 @@ import sys
 import pytest
 
 import wittkit
+from wittkit import cli
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.cli import main, run
 from wittkit.compare import compare_w_kok, report_to_json
@@ -338,6 +339,52 @@ def test_byte_determinism():
     ]
     for argv in probes:
         assert go(*argv) == go(*argv)
+
+
+def test_run_reuses_one_parser(monkeypatch):
+    # the parser is built once at import; run() must neither rebuild it nor
+    # let one call (a batch, a usage error, a handler error) change the next
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: pytest.fail("run() rebuilt the parser"))
+    probes = [
+        ("compute", "--space", "catalog:p1", "--theory", "w", "--shift", "1"),
+        ("compute", "--space", "catalog:p2"),
+        ("compare", "--all", "--assert"),
+        ("specseq", "--space", "catalog:enriques", "--engine", "pardon"),
+        ("compute", "--all", "--theory", "kok", "--format", "table"),
+        ("sw", "--ring", "curve?g=2", "--rank", "2", "--format", "table"),
+        ("compare", "--space", "catalog:k3?rho=10"),
+        ("catalog",),
+        ("compute", "--space", "catalog:godeaux", "--theory", "w"),
+        ("catalog", "--name", "p2", "--format", "table"),
+        ("compute", "--space", "catalog:p1", "--theory", "ko"),
+    ]
+    first = {argv: go(*argv) for argv in probes}
+    assert first[("compute", "--space", "catalog:p2")][0] == 1
+    assert first[("compare", "--all", "--assert")][0] == 2
+    for order in (probes[::-1], probes[1::2] + probes[::2], probes * 2):
+        for argv in order:
+            code, out, _ = go(*argv)
+            assert (code, out) == first[argv][:2], argv
+
+
+@pytest.mark.parametrize("kind", ["h_int-integers", "sq2-null", "odd-torsion-duality"])
+def test_malformed_descriptor_files_exit_one_with_signal(tmp_path, kind):
+    doc = json.loads(descriptor_to_json(catalog_get("p2").descriptor))
+    if kind == "h_int-integers":
+        doc["h_int"] = [1, 2, 3, 4, 5]
+    elif kind == "sq2-null":
+        doc["sq2"] = [[None]]
+    else:
+        doc["h_int"][2] = "Z + Z/3"
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("compute", "--space", str(path), "--theory", "w"),
+                 ("compare", "--space", str(path)),
+                 ("specseq", "--space", str(path), "--engine", "pardon")):
+        code, out, err = go(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error [inconsistent-descriptor]: "), err
 
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"

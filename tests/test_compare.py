@@ -1,6 +1,9 @@
 """Comparison verdicts: curves always match, surfaces match exactly when the
 Picard map covers H^2."""
 
+import copy
+import json
+
 import pytest
 
 from sample_spaces import (
@@ -22,7 +25,12 @@ from wittkit.compare import (
     report_to_json,
     s1_vs_sq2z,
 )
-from wittkit.errors import InconsistentDescriptor, NoSuchTwist, UnsupportedTwist
+from wittkit.errors import (
+    InconsistentDescriptor,
+    NoSuchTwist,
+    UnsupportedTwist,
+    WittkitError,
+)
 from wittkit.groups import Z2, elementary_two, f2_rank
 from wittkit.spaces import betti, make_curve, make_point
 from wittkit.witt import w_curve
@@ -157,6 +165,38 @@ def test_report_json_round_trip():
         back = report_from_json(blob)
         assert back == report
         assert report_to_json(back) == blob
+
+
+def test_report_from_json_rejects_bad_input():
+    good = json.loads(report_to_json(compare_w_kok(k3_surface(10))))
+
+    def edited(change):
+        doc = copy.deepcopy(good)
+        change(doc)
+        return json.dumps(doc)
+
+    bad = [
+        "not json",
+        None,
+        "[]",
+        edited(lambda d: d.pop("verdict")),
+        edited(lambda d: d["rows"][1].pop("KOK")),
+        edited(lambda d: d["mismatch"].pop("w_rank")),
+        edited(lambda d: d.update(rows={"shift": 0})),
+        edited(lambda d: d.update(rows=[0, 1, 2, 3])),
+        edited(lambda d: d.update(mismatch=[0, 2, 0])),
+        edited(lambda d: d.update(pic_surjective="no")),
+        edited(lambda d: d.update(kind=2)),
+        edited(lambda d: d["rows"][0].update(shift="0")),
+        edited(lambda d: d["rows"][0].update(iso=0)),
+        edited(lambda d: d["rows"][0].update(W=2)),
+        edited(lambda d: d["rows"][0].update(W="Z/")),
+        edited(lambda d: d["mismatch"].update(kok_rank=True)),
+    ]
+    for blob in bad:
+        with pytest.raises(WittkitError) as info:
+            report_from_json(blob)
+        assert info.value.signal == "render-parse"
 
 
 def test_report_json_twisted_round_trip():

@@ -8,13 +8,19 @@ enumeration.
 
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wittkit
 from wittkit.errors import (
+    InvariantViolation,
     RenderParseError,
     ShapeMismatch,
     UnsupportedDivisibleMap,
@@ -36,6 +42,7 @@ from wittkit.groups import (
     direct_sum_all,
     divisible,
     elementary_two,
+    exponent_two,
     f2_rank,
     free,
     group_from_presentation,
@@ -387,6 +394,36 @@ def test_order():
     assert SymGroup(0, (2, 4), 0).order() == 8
     assert Z.order() is None
     assert divisible(1).order() is None
+
+
+def test_exponent_two_check():
+    for good in (TRIVIAL, Z2, elementary_two(3)):
+        assert exponent_two(good) is good
+    for bad in (Z, cyclic(4), SymGroup(0, (2, 2, 6), 0), divisible(1),
+                SymGroup(1, (2,), 0)):
+        with pytest.raises(InvariantViolation) as info:
+            exponent_two(bad)
+        assert info.value.signal == "invariant-violation"
+
+
+def test_exponent_two_check_runs_under_python_O():
+    # a bare assert would be stripped under -O; this check must still raise
+    child = (
+        "import sys\n"
+        "from wittkit.errors import InvariantViolation\n"
+        "from wittkit.groups import Z, exponent_two\n"
+        "try:\n"
+        "    exponent_two(Z)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(sys.flags.optimize, exc.signal)\n"
+    )
+    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 invariant-violation\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Curve mod-2 cohomology is checked against an independent cellular-cochain
 oracle (one-vertex CW models: wedge of circles, closed orientable surface).
 """
 
+import json
+
 import pytest
 
 from wittkit.errors import DegreeOutOfRange, InconsistentDescriptor
@@ -326,6 +328,48 @@ def test_json_rejects_malformed():
             '{"kind":"surface","projective":true,"h_int":["Z","0","Q","0","Z"],'
             '"nu":0,"rho":1,"ch2_mod2_rank":1,"sq2":[[1]],"pi2":[[1]]}'
         )
+
+
+# The three loader holes: each malformed surface must end in the descriptor
+# error, not a traceback, a signal-less error or a silent acceptance.
+
+
+def _p2_doc(**changes):
+    doc = json.loads(descriptor_to_json(p2_surface()))
+    doc.update(changes)
+    return doc
+
+
+def test_json_rejects_non_string_h_int_entries():
+    for raw in ([1, 2, 3, 4, 5], ["Z", "0", 1, "0", "Z"], ["Z", None, "Z", "0", "Z"]):
+        with pytest.raises(InconsistentDescriptor, match="h_int"):
+            descriptor_from_json(_p2_doc(h_int=raw))
+
+
+def test_json_matrices_take_integers_only():
+    for entry in (None, "x", "1", 1.5, 1.0, True):
+        with pytest.raises(InconsistentDescriptor, match="sq2 entries"):
+            descriptor_from_json(_p2_doc(sq2=[[entry]]))
+        with pytest.raises(InconsistentDescriptor, match="pi2 entries"):
+            descriptor_from_json(_p2_doc(pi2=[[entry]]))
+    assert descriptor_from_json(_p2_doc(sq2=[[3]])) == p2_surface()
+
+
+def test_projective_duality_covers_odd_torsion():
+    # H^2 = Z/3 with H^3 = 0 satisfies the 2-torsion count but not duality
+    for h2, h3 in (("Z/3", "0"), ("Z/3", "Z/9"), ("Z/15", "Z/5")):
+        doc = _p2_doc(h_int=["Z", "0", "Z + " + h2, h3, "Z"])
+        with pytest.raises(InconsistentDescriptor, match="projective-duality"):
+            descriptor_from_json(doc)
+    with pytest.raises(InconsistentDescriptor, match="projective-duality"):
+        make_surface(True, (Z, TRIVIAL, SymGroup(1, (3,), 0), TRIVIAL, Z), 0, 1, 1,
+                     ((1,),), ((1,),))
+    # odd torsion on both sides is dual; Enriques (Z/2 in both degrees) loads
+    odd = make_surface(True, (Z, TRIVIAL, SymGroup(1, (3,), 0), cyclic(3), Z),
+                       0, 1, 1, ((1,),), ((1,),))
+    assert descriptor_from_json(descriptor_to_json(odd)) == odd
+    enr = enriques_surface()
+    assert descriptor_from_json(descriptor_to_json(enr)) == enr
 
 
 def test_render_parse_used_by_descriptors():
