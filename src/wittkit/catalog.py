@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentDescriptor, UnknownName
-from .groups import TRIVIAL, Z, SymGroup, cyclic, free
+from .groups import TRIVIAL, Z, SymGroup, cyclic, free, identity
 from .spaces import SpaceDescriptor, make_curve, make_point, make_surface
 
 MAX_GENUS = 8
@@ -25,10 +25,6 @@ class CatalogEntry:
     name: str
     descriptor: SpaceDescriptor
     notes: dict
-
-
-def _identity(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _genus_in_range(g: int):
@@ -118,7 +114,7 @@ def _entry_blowup_p2() -> CatalogEntry:
             rho=2,
             ch2_mod2_rank=1,
             sq2=((1, 1),),
-            pi2=_identity(2),
+            pi2=identity(2),
         ),
         notes={
             "h_int": "one point blown up: H^2 = Z[H] + Z[E]",
@@ -176,7 +172,7 @@ def _entry_k3(rho: int) -> CatalogEntry:
             rho=rho,
             ch2_mod2_rank=1,
             sq2=((0,) * 22,),
-            pi2=_identity(22),
+            pi2=identity(22),
             s1=((0,) * rho,),
         ),
         notes={
@@ -203,7 +199,7 @@ def _entry_ruled(g: int) -> CatalogEntry:
             rho=2,
             ch2_mod2_rank=1,
             sq2=((0, 1),),
-            pi2=_identity(2),
+            pi2=identity(2),
         ),
         notes={
             "h_int": "ruled over a genus-g curve; b1 = 2g is stated "

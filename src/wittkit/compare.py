@@ -12,30 +12,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InconsistentDescriptor, RenderParseError
-from .groups import TRIVIAL, SymGroup, f2_rank, mod2_rank, parse_group, render
-from .spaces import SpaceDescriptor, betti, sq2z_on_pic
-from .topko import kok, kok_reduced, sq2_integral
-from .witt import (
-    TRIVIAL_TWIST,
-    normalize_twist,
-    w_curve,
-    w_curve_reduced,
-    w_point,
-    w_surface,
-    w_surface_reduced,
+from .errors import InvariantViolation, RenderParseError
+from .groups import SymGroup, f2_rank, mod2_rank, parse_group, render
+from .spaces import (
+    SpaceDescriptor,
+    pic_surjective,
+    require_kind,
+    sq2_integral,
+    sq2z_on_pic,
 )
+from .topko import kok, kok_reduced
+from .witt import TRIVIAL_TWIST, check_twist, w, w_reduced
 
 CURVE_ALWAYS_ISO = "curve-always-iso"
 SURFACE_ISO = "surface-iso"
 SURFACE_MISMATCH = "surface-mismatch"
-
-
-def pic_surjective(space: SpaceDescriptor) -> bool:
-    """Whether Pic(X) covers H^2(X;Z); always true below dimension two."""
-    if space.kind == "surface":
-        return space.rho == betti(space)[2]
-    return True
 
 
 @dataclass(frozen=True)
@@ -63,53 +54,40 @@ class ComparisonReport:
     mismatch: tuple | None
 
 
-def _w_total(space: SpaceDescriptor, i: int, twist) -> SymGroup:
-    if space.kind == "point":
-        return w_point(i)
-    if space.kind == "curve":
-        return w_curve(space, i, twist)
-    return w_surface(space, i)
-
-
-def _w_reduced_zero(space: SpaceDescriptor, twist) -> SymGroup:
-    if space.kind == "point":
-        return TRIVIAL
-    if space.kind == "curve":
-        return w_curve_reduced(space, 0, twist)
-    return w_surface_reduced(space, 0)
-
-
 def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonReport:
+    tw = check_twist(space, twist)
     rows = []
     mismatch = None
     for i in range(4):
-        k_grp = kok(space, 2 * i, twist)  # validates the twist for the kind
-        w_grp = _w_total(space, i, twist)
+        k_grp = kok(space, 2 * i, tw)
+        w_grp = w(space, i, tw)
         iso = w_grp == k_grp
         rows.append(ShiftRow(i, w_grp, k_grp, iso))
         if not iso and mismatch is None:
             if i == 0:
                 mismatch = (
                     0,
-                    mod2_rank(_w_reduced_zero(space, twist)),
-                    mod2_rank(kok_reduced(space, 0, twist)),
+                    mod2_rank(w_reduced(space, 0, tw)),
+                    mod2_rank(kok_reduced(space, 0, tw)),
                 )
             else:
                 mismatch = (i, mod2_rank(w_grp), mod2_rank(k_grp))
     onto = pic_surjective(space)
     if space.kind != "surface":
         verdict = CURVE_ALWAYS_ISO
-        assert mismatch is None
+        if not (mismatch is None):
+            raise InvariantViolation("%s compares non-isomorphically" % space)
     elif mismatch is None:
         verdict = SURFACE_ISO
     else:
         verdict = SURFACE_MISMATCH
     if space.kind == "surface" and not onto:
         # necessity direction: a Picard rank defect must surface at shift 0
-        assert mismatch is not None and mismatch[0] == 0
+        if not (mismatch is not None and mismatch[0] == 0):
+            raise InvariantViolation("%s: Picard defect missed at shift 0" % space)
     return ComparisonReport(
         kind=space.kind,
-        twist=normalize_twist(twist),
+        twist=tw,
         pic_surjective=onto,
         rows=tuple(rows),
         verdict=verdict,
@@ -129,8 +107,7 @@ def s1_vs_sq2z(space: SpaceDescriptor) -> bool:
     bound is checkable: the image of s1 cannot exceed the image of Sq2_Z
     restricted to the Picard classes.
     """
-    if space.kind != "surface":
-        raise InconsistentDescriptor("expected a surface descriptor")
+    require_kind(space, "surface")
     sq = sq2_integral(space)
     s1 = space.s1
     if pic_surjective(space):
@@ -177,7 +154,7 @@ def _entry(data, key: str, typ):
 def report_from_json(source) -> ComparisonReport:
     try:
         data = json.loads(source)
-    except (TypeError, ValueError) as exc:
+    except (RecursionError, TypeError, ValueError) as exc:
         raise RenderParseError("report is not valid JSON: %s" % exc) from None
     rows = tuple(
         ShiftRow(_entry(r, "shift", int), parse_group(_entry(r, "W", str)),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import (
     InvariantViolation,
@@ -309,22 +310,63 @@ def direct_sum_all(groups) -> SymGroup:
     return total
 
 
-def _even_count(g: SymGroup) -> int:
+def cancel(total: SymGroup, summand: SymGroup) -> SymGroup:
+    """The complement of ``summand`` in ``total``.
+
+    ``summand`` is built from free, prime-cyclic and divisible atoms; each
+    cancels against one matching atom of ``total`` (Z/p against a primary
+    factor of order exactly p, D(t) by rank). Anything else is a programming
+    error, raised even under ``python -O``.
+    """
+    torsion = list(total.torsion)
+    fits = (summand.free_rank <= total.free_rank
+            and summand.divisible_rank <= total.divisible_rank)
+    for p in summand.torsion:
+        # the first factor whose p-part is exactly p: the factors before it
+        # are prime to p, so dividing it by p keeps the divisibility chain
+        hit = next((k for k, d in enumerate(torsion) if d % p == 0 and d % (p * p)),
+                   None)
+        if hit is None or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            fits = False
+            break
+        torsion[hit] //= p
+        if torsion[hit] == 1:
+            del torsion[hit]
+    if not fits:
+        raise InvariantViolation(
+            "%s is not a summand of %s" % (render(summand), render(total)))
+    return SymGroup(total.free_rank - summand.free_rank, tuple(torsion),
+                    total.divisible_rank - summand.divisible_rank)
+
+
+def even_count(g: SymGroup) -> int:
+    """Number of invariant factors of even order."""
     return sum(1 for d in g.torsion if d % 2 == 0)
+
+
+def mod2_generators(g: SymGroup) -> tuple:
+    """Canonical generators surviving in g/2g: the free and even-order ones."""
+    return tuple(j for j in range(g.ngens)
+                 if j < g.free_rank or g.torsion[j - g.free_rank] % 2 == 0)
 
 
 def mod2(g: SymGroup) -> SymGroup:
     """g/2g. The divisible atom is two-divisible, so it contributes nothing."""
-    return elementary_two(g.free_rank + _even_count(g))
+    return elementary_two(mod2_rank(g))
 
 
 def two_torsion(g: SymGroup) -> SymGroup:
     """g[2]. D(t)[2] has rank t by definition of the atom."""
-    return elementary_two(_even_count(g) + g.divisible_rank)
+    return elementary_two(even_count(g) + g.divisible_rank)
 
 
 def mod2_rank(g: SymGroup) -> int:
-    return g.free_rank + _even_count(g)
+    return g.free_rank + even_count(g)
+
+
+def is_elementary_two(g: SymGroup) -> bool:
+    """Whether g is an F2-vector space."""
+    return g.free_rank == 0 and g.divisible_rank == 0 and all(d == 2 for d in g.torsion)
 
 
 def exponent_two(g: SymGroup) -> SymGroup:
@@ -332,8 +374,7 @@ def exponent_two(g: SymGroup) -> SymGroup:
 
     A failure is a programming error, raised even under ``python -O``.
     """
-    if not (g.free_rank == 0 and g.divisible_rank == 0
-            and all(d == 2 for d in g.torsion)):
+    if not is_elementary_two(g):
         raise InvariantViolation("expected exponent two, got %s" % render(g))
     return g
 
@@ -368,22 +409,21 @@ def parse_group(text: str) -> SymGroup:
     factors = []
     div = 0
     for tok in s.split(" + "):
-        m = _TOK_FREE.match(tok)
-        if m:
-            free_rank += int(m.group(1) or 1)
-            continue
-        m = _TOK_CYCLIC.match(tok)
-        if m:
-            n = int(m.group(1))
-            if n < 2:
-                raise RenderParseError("cyclic order must be >= 2 in %r" % tok)
+        m = _TOK_FREE.match(tok) or _TOK_CYCLIC.match(tok) or _TOK_DIV.match(tok)
+        if not m:
+            raise RenderParseError("bad group token %r in %r" % (tok, text))
+        try:
+            n = int(m.group(1) or 1)
+        except ValueError:  # more digits than the int-conversion limit
+            raise RenderParseError("number too long in %r" % tok[:32]) from None
+        if m.re is _TOK_FREE:
+            free_rank += n
+        elif m.re is _TOK_DIV:
+            div += n
+        elif n < 2:
+            raise RenderParseError("cyclic order must be >= 2 in %r" % tok)
+        else:
             factors.append(n)
-            continue
-        m = _TOK_DIV.match(tok)
-        if m:
-            div += int(m.group(1))
-            continue
-        raise RenderParseError("bad group token %r in %r" % (tok, text))
     base = direct_sum_all(SymGroup(torsion=(n,)) for n in factors)
     return SymGroup(free_rank, base.torsion, div)
 

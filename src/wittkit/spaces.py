@@ -13,7 +13,7 @@ generators, and H^2(Z/2) extends that basis by the 2-torsion of H^3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import DegreeOutOfRange, InconsistentDescriptor, RenderParseError
 from .groups import (
@@ -23,6 +23,7 @@ from .groups import (
     SymGroup,
     divisible,
     elementary_two,
+    even_count,
     f2_mul,
     f2_rank,
     free,
@@ -78,10 +79,6 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
                            punctures=punctures)
 
 
-def _even_torsion(g: SymGroup) -> int:
-    return sum(1 for d in g.torsion if d % 2 == 0)
-
-
 def _as_f2(m, name: str, rows: int, cols: int) -> Matrix:
     mat = tuple(tuple(int(x) % 2 for x in row) for row in m)
     if len(mat) != rows or any(len(row) != cols for row in mat):
@@ -113,10 +110,10 @@ def make_surface(
         raise InconsistentDescriptor("h_int entries must be finitely generated")
 
     b2 = table[2].free_rank
-    t3 = _even_torsion(table[3])
-    if nu != _even_torsion(table[2]):
+    t3 = even_count(table[3])
+    if nu != even_count(table[2]):
         raise InconsistentDescriptor(
-            "nu: expected the 2-torsion rank of H^2, which is %d" % _even_torsion(table[2])
+            "nu: expected the 2-torsion rank of H^2, which is %d" % even_count(table[2])
         )
     if not 0 <= rho <= b2:
         raise InconsistentDescriptor("rho: need 0 <= rho <= b2 = %d, got %d" % (b2, rho))
@@ -143,27 +140,28 @@ def make_surface(
     pi2m = _as_f2(pi2, "pi2", r2, m2)
     if f2_rank(pi2m) != m2:
         raise InconsistentDescriptor("pi2-injective: pi2 must have full column rank %d" % m2)
-    sq2m = _as_f2(sq2, "sq2", r4, r2)
-    if s1 is None:
-        if rho != b2:
-            raise InconsistentDescriptor(
-                "s1: no default available when rho < b2; supply the squaring matrix"
-            )
-        s1m = f2_mul(sq2m, pi2m, m2)
-    else:
-        s1m = _as_f2(s1, "s1", ch2_mod2_rank, rho + nu)
-
-    return SpaceDescriptor(
+    space = SpaceDescriptor(
         kind="surface",
         projective=bool(projective),
         h_int_table=table,
         nu=nu,
         rho=rho,
         ch2_mod2_rank=ch2_mod2_rank,
-        sq2=sq2m,
+        sq2=_as_f2(sq2, "sq2", r4, r2),
         pi2=pi2m,
-        s1=s1m,
     )
+    if s1 is not None:
+        return replace(space, s1=_as_f2(s1, "s1", ch2_mod2_rank, rho + nu))
+    if rho != b2:
+        raise InconsistentDescriptor(
+            "s1: no default available when rho < b2; supply the squaring matrix"
+        )
+    return replace(space, s1=sq2_integral(space))
+
+
+def require_kind(space, kind: str):
+    if not isinstance(space, SpaceDescriptor) or space.kind != kind:
+        raise InconsistentDescriptor("expected a %s descriptor" % kind)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +199,8 @@ def singular_h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGro
         return table[degree]
     if coefficients == MOD2:
         b = table[degree].free_rank
-        t_here = _even_torsion(table[degree])
-        t_above = _even_torsion(table[degree + 1]) if degree + 1 < len(table) else 0
+        t_here = even_count(table[degree])
+        t_above = even_count(table[degree + 1]) if degree + 1 < len(table) else 0
         return elementary_two(b + t_here + t_above)
     raise ValueError("coefficients must be %r or %r" % (INTEGRAL, MOD2))
 
@@ -244,15 +242,33 @@ def pic_columns(space: SpaceDescriptor) -> tuple:
     return tuple(range(space.rho)) + tuple(range(b2, b2 + space.nu))
 
 
+def _on_pic_columns(space: SpaceDescriptor, m) -> Matrix:
+    cols = pic_columns(space)
+    return tuple(tuple(row[j] for j in cols) for row in m)
+
+
 def picard_image_matrix(space: SpaceDescriptor) -> Matrix:
     """pi2 restricted to the Picard columns: Pic/2 -> H^2(Z/2)."""
-    cols = pic_columns(space)
-    return tuple(tuple(row[j] for j in cols) for row in space.pi2)
+    return _on_pic_columns(space, space.pi2)
+
+
+def sq2_integral(space: SpaceDescriptor) -> Matrix:
+    """Sq2 restricted to the image of H^2(Z) inside H^2(Z/2), as an F2 matrix
+    on the mod-2 reduction of H^2(Z)."""
+    require_kind(space, "surface")
+    return f2_mul(space.sq2, space.pi2)
 
 
 def sq2z_on_pic(space: SpaceDescriptor) -> Matrix:
     """sq2 composed with pi2, restricted to the Picard columns."""
-    return f2_mul(space.sq2, picard_image_matrix(space), len(pic_columns(space)))
+    return _on_pic_columns(space, sq2_integral(space))
+
+
+def pic_surjective(space: SpaceDescriptor) -> bool:
+    """Whether Pic(X) covers H^2(X;Z); always true below dimension two."""
+    if space.kind == "surface":
+        return space.rho == betti(space)[2]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +316,8 @@ def descriptor_from_json(source) -> SpaceDescriptor:
     if isinstance(source, str):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:
+            # ValueError also covers integers past the int-conversion limit
             raise InconsistentDescriptor("descriptor is not valid JSON: %s" % exc)
     else:
         data = source

@@ -25,11 +25,12 @@ from .groups import (
     composite_is_zero,
     direct_sum_all,
     elementary_two,
-    f2_mul,
     f2_rank,
     homology_at,
+    is_elementary_two,
     kernel,
     mod2,
+    mod2_generators,
     render,
     zero_map,
 )
@@ -39,6 +40,7 @@ from .spaces import (
     picard,
     picard_image_matrix,
     singular_h,
+    sq2_integral,
 )
 
 COHOMOLOGICAL = "cohomological"
@@ -142,10 +144,6 @@ def _total_degree(convention: str, pos) -> int:
     return pos[0] + pos[1] if convention == COHOMOLOGICAL else pos[0]
 
 
-def _is_elementary_two(g: SymGroup) -> bool:
-    return g.free_rank == 0 and g.divisible_rank == 0 and all(d == 2 for d in g.torsion)
-
-
 @dataclass
 class EInfinityReport:
     """Stable page plus per-degree assembly bookkeeping.
@@ -175,7 +173,7 @@ class EInfinityReport:
         pieces = self.pieces(degree)
         if len(pieces) <= 1:
             return pieces[0] if pieces else TRIVIAL
-        if self.exponent_two and all(_is_elementary_two(g) for g in pieces):
+        if self.exponent_two and all(is_elementary_two(g) for g in pieces):
             return direct_sum_all(pieces)
         return None
 
@@ -224,7 +222,7 @@ def run_to_stable(
         )
     degrees = {d: tuple(v) for d, v in degrees.items()}
     resolved = {
-        d: len(v) <= 1 or (exponent_two and all(_is_elementary_two(g) for _, _, g in v))
+        d: len(v) <= 1 or (exponent_two and all(is_elementary_two(g) for _, _, g in v))
         for d, v in degrees.items()
     }
     tainted = frozenset(
@@ -247,15 +245,10 @@ def run_to_stable(
 
 
 def _mod2_matrix(gm: GroupMap):
-    # induced matrix on mod-2 reductions: keep rows/columns of free or
-    # even-order generators, reduce entries
-    def keep(g):
-        return [j for j in range(g.ngens)
-                if j < g.free_rank or g.torsion[j - g.free_rank] % 2 == 0]
-
-    rows = keep(gm.codomain)
-    cols = keep(gm.domain)
-    return tuple(tuple(gm.matrix[i][j] % 2 for j in cols) for i in rows)
+    # induced matrix on mod-2 reductions
+    cols = mod2_generators(gm.domain)
+    return tuple(tuple(gm.matrix[i][j] % 2 for j in cols)
+                 for i in mod2_generators(gm.codomain))
 
 
 def dump_page(page: BigradedPage) -> str:
@@ -283,20 +276,10 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
     of the domain; odd-torsion generators reduce to zero and get zero
     columns. The codomain must have exponent 2.
     """
-    rows = tuple(tuple(int(x) % 2 for x in row) for row in rows)
-    src_col = []
-    nxt = 0
-    for j in range(domain.ngens):
-        if j < domain.free_rank or domain.torsion[j - domain.free_rank] % 2 == 0:
-            src_col.append(nxt)
-            nxt += 1
-        else:
-            src_col.append(None)
+    src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
     full = tuple(
-        tuple(
-            0 if src_col[j] is None else rows[i][src_col[j]]
-            for j in range(domain.ngens)
-        )
+        tuple(int(rows[i][src_col[j]]) % 2 if j in src_col else 0
+              for j in range(domain.ngens))
         for i in range(codomain.ngens)
     )
     return GroupMap(domain, codomain, full)
@@ -383,9 +366,8 @@ def ahss_ko_page(space) -> BigradedPage:
             if p < 2:
                 diffs[src] = zero_map(entries[src], entries[tgt])
             elif q_src in (0, -8):
-                diffs[src] = _map_from_f2(
-                    entries[src], entries[tgt], f2_mul(space.sq2, space.pi2)
-                )
+                diffs[src] = _map_from_f2(entries[src], entries[tgt],
+                                          sq2_integral(space))
             else:
                 diffs[src] = _map_from_f2(entries[src], entries[tgt], space.sq2)
     return BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL,

@@ -12,38 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DegreeOutOfRange,
-    InconsistentDescriptor,
-    NoSuchTwist,
-    UnsupportedTwist,
-)
+from .errors import DegreeOutOfRange, InvariantViolation
 from .groups import (
     TRIVIAL,
     Z,
     Z2,
     SymGroup,
+    cancel,
     direct_sum,
     direct_sum_all,
     elementary_two,
     exponent_two,
-    f2_mul,
     f2_rank,
-    free,
     mod2_rank,
     render,
     two_torsion,
 )
-from .spaces import INTEGRAL, MOD2, SpaceDescriptor, betti, singular_h
-from .specseq import ahss_ko
-from .witt import (
-    ODD_TWIST,
-    TRIVIAL_TWIST,
-    normalize_twist,
-    w_curve,
-    w_point,
-    w_surface,
+from .spaces import (
+    INTEGRAL,
+    MOD2,
+    SpaceDescriptor,
+    pic_surjective,
+    require_kind,
+    singular_h,
+    sq2_integral,
 )
+from .specseq import ahss_ko
+from .witt import ODD_TWIST, TRIVIAL_TWIST, cancel_point, check_twist, w
 
 
 def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
@@ -53,105 +48,39 @@ def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
     return singular_h(space, degree, coefficients)
 
 
-def _checked_twist(space: SpaceDescriptor, twist) -> str:
-    tw = normalize_twist(twist)
-    if tw == ODD_TWIST:
-        if space.kind == "surface":
-            raise UnsupportedTwist("twisted KO/K groups of a surface are out of scope")
-        if space.kind != "curve":
-            raise NoSuchTwist("a point admits only the trivial twist")
-        if not space.projective:
-            raise NoSuchTwist("affine curves admit no nontrivial twist class")
-    return tw
-
-
 # ---------------------------------------------------------------------------
 # KO tables
 
 _KO_POINT = (Z, TRIVIAL, TRIVIAL, TRIVIAL, Z, TRIVIAL, Z2, Z2)
+_KOK_POINT = (Z2, TRIVIAL, TRIVIAL, TRIVIAL)
 
 
 def ko_point(d: int) -> SymGroup:
     return _KO_POINT[d % 8]
 
 
-def _require_curve(space: SpaceDescriptor):
-    if not isinstance(space, SpaceDescriptor) or space.kind != "curve":
-        raise InconsistentDescriptor("expected a curve descriptor")
-
-
 def ko_curve(space: SpaceDescriptor, d: int) -> SymGroup:
     """KO^d of the underlying complex of a smooth curve."""
-    _require_curve(space)
+    require_kind(space, "curve")
     d %= 8
+    # KO^d as (free rank, number of Z/2 summands) for d = 0..7
     if space.projective:
-        g = space.genus
-        table = (
-            SymGroup(1, (2,) * (2 * g + 1), 0),
-            SymGroup(2 * g, (2,), 0),
-            Z,
-            TRIVIAL,
-            Z,
-            free(2 * g),
-            SymGroup(1, (2,), 0),
-            elementary_two(2 * g + 1),
-        )
+        k = 2 * space.genus
+        table = ((1, k + 1), (k, 1), (1, 0), (0, 0), (1, 0), (k, 0), (1, 1), (0, k + 1))
     else:
         k = 2 * space.genus + space.punctures - 1
-        table = (
-            SymGroup(1, (2,) * k, 0),
-            free(k),
-            TRIVIAL,
-            TRIVIAL,
-            Z,
-            free(k),
-            Z2,
-            elementary_two(k + 1),
-        )
-    return table[d]
+        table = ((1, k), (k, 0), (0, 0), (0, 0), (1, 0), (k, 0), (0, 1), (0, k + 1))
+    free_rank, twos = table[d]
+    return SymGroup(free_rank, (2,) * twos, 0)
 
 
 def ko_curve_reduced(space: SpaceDescriptor, d: int) -> SymGroup:
     """Total KO^d minus the KO^d of a point."""
-    _require_curve(space)
-    d %= 8
-    if space.projective:
-        g = space.genus
-        table = (
-            elementary_two(2 * g + 1),
-            SymGroup(2 * g, (2,), 0),
-            Z,
-            TRIVIAL,
-            TRIVIAL,
-            free(2 * g),
-            Z,
-            elementary_two(2 * g),
-        )
-    else:
-        k = 2 * space.genus + space.punctures - 1
-        table = (
-            elementary_two(k),
-            free(k),
-            TRIVIAL,
-            TRIVIAL,
-            TRIVIAL,
-            free(k),
-            TRIVIAL,
-            elementary_two(k),
-        )
-    return table[d]
+    return cancel(ko_curve(space, d), ko_point(d))
 
 
 # ---------------------------------------------------------------------------
 # KO/K quotients
-
-
-def sq2_integral(space: SpaceDescriptor):
-    """Sq2 restricted to the image of H^2(Z) inside H^2(Z/2), as an F2 matrix
-    on the mod-2 reduction of H^2(Z)."""
-    if space.kind != "surface":
-        raise InconsistentDescriptor("Sq2 data lives on surface descriptors")
-    return f2_mul(space.sq2, space.pi2)
 
 
 def _kok_surface(space: SpaceDescriptor, i: int) -> SymGroup:
@@ -174,10 +103,10 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
     """KO^shift/K of the space, shift even, eight-periodic."""
     if shift % 2:
         raise DegreeOutOfRange("KO/K quotients live in even shifts only")
-    tw = _checked_twist(space, twist)
+    tw = check_twist(space, twist)
     i = (shift % 8) // 2
     if space.kind == "point":
-        g = Z2 if i == 0 else TRIVIAL
+        g = _KOK_POINT[i]
     elif space.kind == "curve":
         h1 = _h(space, 1, MOD2)
         if tw == ODD_TWIST:
@@ -192,17 +121,8 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
 
 
 def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    tw = _checked_twist(space, twist)
-    if shift % 2 == 0 and (shift % 8) == 0 and tw == TRIVIAL_TWIST:
-        if space.kind == "point":
-            return TRIVIAL
-        if space.kind == "curve":
-            return exponent_two(_h(space, 1, MOD2))
-        image_defect = _h(space, 2, MOD2).ngens - f2_rank(space.pi2)
-        return exponent_two(
-            direct_sum(_h(space, 1, MOD2), elementary_two(image_defect))
-        )
-    return kok(space, shift, tw)
+    tw = check_twist(space, twist)
+    return cancel_point(kok(space, shift, tw), _KOK_POINT[(shift % 8) // 2], tw)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +165,18 @@ def eta_iso_check(space: SpaceDescriptor) -> bool:
         quotient = kok(space, 2 * i)
         d = (2 * i - 1) % 8
         if space.kind == "point":
-            assert quotient == two_torsion(ko_point(d))
+            ok = quotient == two_torsion(ko_point(d))
         elif space.kind == "curve":
-            assert quotient == two_torsion(ko_curve(space, d))
+            ok = quotient == two_torsion(ko_curve(space, d))
         else:
             td = _KO_DEGREE_READ[d]
             if td in rep.unknown_degrees:
                 continue
             predicted = sum(mod2_rank(two_torsion(g)) for g in rep.pieces(td))
-            assert mod2_rank(quotient) == predicted
+            ok = mod2_rank(quotient) == predicted
+        if not ok:
+            raise InvariantViolation(
+                "eta: KO^%d/K of %s is not the 2-torsion of KO^%d" % (2 * i, space, d))
     return True
 
 
@@ -273,35 +196,19 @@ class Mod2Ranks:
     signal: str | None = None
 
 
-def _w_groups(space: SpaceDescriptor) -> tuple:
-    if space.kind == "point":
-        return tuple(w_point(i) for i in range(4))
-    if space.kind == "curve":
-        return tuple(w_curve(space, i) for i in range(4))
-    return tuple(w_surface(space, i) for i in range(4))
-
-
 def mod2_ranks(space: SpaceDescriptor) -> Mod2Ranks:
     k1_rank = mod2_rank(k1_two_torsion(space))
     k0_log2 = sum(mod2_rank(g) for g in k_top_graded(space)) + k1_rank
     if k1_rank:
         return Mod2Ranks(None, None, k0_log2, k1_rank, signal="eta-obstructed")
-    w = _w_groups(space)
-    w_row = tuple(
-        mod2_rank(w[i]) + mod2_rank(w[(i + 1) % 4]) for i in range(4)
-    )
+    w_ranks = tuple(mod2_rank(w(space, i)) for i in range(4))
+    w_row = tuple(w_ranks[i] + w_ranks[(i + 1) % 4] for i in range(4))
     quotients = tuple(kok(space, 2 * i) for i in range(4))
     kok_row = tuple(
         mod2_rank(quotients[i]) + mod2_rank(quotients[(i + 1) % 4])
         for i in range(4)
     )
     return Mod2Ranks(w_row, kok_row, k0_log2, 0)
-
-
-def _pic_onto(space: SpaceDescriptor) -> bool:
-    if space.kind == "surface":
-        return space.rho == betti(space)[2]
-    return True
 
 
 @dataclass(frozen=True)
@@ -316,15 +223,17 @@ def ql_hermitian_verdict(space: SpaceDescriptor) -> QlReport:
     """Both hypotheses of the hermitian comparison at once: Picard group
     surjecting onto H^2(Z) and 2-torsion-free K^1. When they hold the
     shiftwise Witt vs KO/K equality is asserted on the spot."""
-    onto = _pic_onto(space)
+    onto = pic_surjective(space)
     k1_rank = mod2_rank(k1_two_torsion(space))
     verdict = onto and k1_rank == 0
     checked = ()
     if verdict:
-        w = _w_groups(space)
         for i in range(4):
-            assert w[i] == kok(space, 2 * i)
-        assert mod2_ranks(space).w is not None
+            if not (w(space, i) == kok(space, 2 * i)):
+                raise InvariantViolation(
+                    "W^%d and KO^%d/K of %s differ" % (i, 2 * i, space))
+        if not (mod2_ranks(space).w is not None):
+            raise InvariantViolation("mod-2 ranks of %s are eta-obstructed" % space)
         checked = (0, 1, 2, 3)
     return QlReport(onto, k1_rank, verdict, checked)
 
@@ -351,24 +260,23 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     and surfaces carry None in all eight slots (twisted totals would need the
     Thom-space model, surface odd totals an undetermined differential).
     """
-    tw = _checked_twist(space, twist)
-    if space.kind == "point":
-        ko = tuple(ko_point(d) for d in range(8))
-        ko_red = (TRIVIAL,) * 8
-    elif space.kind == "curve" and tw == TRIVIAL_TWIST:
-        ko = tuple(ko_curve(space, d) for d in range(8))
-        ko_red = tuple(ko_curve_reduced(space, d) for d in range(8))
+    tw = check_twist(space, twist)
+    if space.kind == "surface" or tw == ODD_TWIST:
+        ko = ko_red = (None,) * 8
     else:
-        ko = (None,) * 8
-        ko_red = (None,) * 8
+        ko = tuple(ko_point(d) if space.kind == "point" else ko_curve(space, d)
+                   for d in range(8))
+        ko_red = tuple(cancel(g, ko_point(d)) for d, g in enumerate(ko))
+    kok_row = tuple(kok(space, 2 * i, tw) for i in range(4))
     return KoTable(
         kind=space.kind,
         twist=tw,
         ko=ko,
         ko_reduced=ko_red,
         k0_graded=k_top_graded(space),
-        kok=tuple(kok(space, 2 * i, tw) for i in range(4)),
-        kok_reduced=tuple(kok_reduced(space, 2 * i, tw) for i in range(4)),
+        kok=kok_row,
+        kok_reduced=tuple(cancel_point(g, _KOK_POINT[i], tw)
+                          for i, g in enumerate(kok_row)),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import (
-    InconsistentDescriptor,
+    InvariantViolation,
     NoSuchTwist,
     RenderParseError,
     RingMismatch,
@@ -25,6 +25,7 @@ from .groups import (
     Z2,
     GroupMap,
     SymGroup,
+    cancel,
     check_exact,
     cokernel_map,
     direct_sum,
@@ -39,7 +40,14 @@ from .groups import (
     render,
     snf,
 )
-from .spaces import SpaceDescriptor, betti, etale_h, picard, picard_image_matrix
+from .spaces import (
+    SpaceDescriptor,
+    betti,
+    etale_h,
+    picard,
+    picard_image_matrix,
+    require_kind,
+)
 
 TRIVIAL_TWIST = "trivial"
 ODD_TWIST = "O(p)"
@@ -52,6 +60,25 @@ def normalize_twist(twist) -> str:
         return twist
     raise NoSuchTwist("unknown twist class %r; use %r or %r"
                       % (twist, TRIVIAL_TWIST, ODD_TWIST))
+
+
+def check_twist(space: SpaceDescriptor, twist) -> str:
+    """The normalized twist class, once it is known to exist on ``space``."""
+    tw = normalize_twist(twist)
+    if tw == ODD_TWIST:
+        if space.kind == "surface":
+            raise UnsupportedTwist("twisted surface groups are out of contract")
+        if space.kind == "point":
+            raise NoSuchTwist("a point admits only the trivial twist")
+        if not space.projective:
+            # every line bundle on an affine curve is a square
+            raise NoSuchTwist("affine curves admit no nontrivial twist class")
+    return tw
+
+
+def cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
+    """``total`` minus the point summand; a twisted group has none."""
+    return total if twist == ODD_TWIST else cancel(total, point_group)
 
 
 # ---------------------------------------------------------------------------
@@ -73,47 +100,27 @@ def w_point(i: int) -> SymGroup:
 # curves
 
 
-def _require_curve(space: SpaceDescriptor):
-    if not isinstance(space, SpaceDescriptor) or space.kind != "curve":
-        raise InconsistentDescriptor("expected a curve descriptor")
-
-
-def _curve_twist(space: SpaceDescriptor, twist) -> str:
-    tw = normalize_twist(twist)
-    if tw == ODD_TWIST and not space.projective:
-        # every line bundle on an affine curve is a square
-        raise NoSuchTwist("affine curves admit no nontrivial twist class")
-    return tw
-
-
 def gw_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    _require_curve(space)
-    tw = _curve_twist(space, twist)
-    h1 = etale_h(space, 1)
-    h2 = etale_h(space, 2)  # Z/2 when projective, 0 when affine
-    jac = divisible(picard(space).divisible_rank)
-    deg = Z if space.projective else TRIVIAL
+    require_kind(space, "curve")
+    tw = check_twist(space, twist)
     i %= 4
+    if i == 2:
+        return Z
+    jac = divisible(picard(space).divisible_rank)
     if tw == ODD_TWIST:
-        table = (
-            direct_sum(Z, h1),
-            direct_sum(Z, jac),
-            Z,
-            direct_sum(Z, jac),
-        )
-        return table[i]
-    table = (
-        direct_sum_all([Z, h1, h2]),
-        direct_sum(deg, jac),
-        Z,
-        direct_sum_all([Z2, deg, jac]),
-    )
-    return table[i]
+        return direct_sum(Z, etale_h(space, 1) if i == 0 else jac)
+    deg = Z if space.projective else TRIVIAL
+    if i == 0:
+        # etale H^2 is Z/2 when projective, 0 when affine
+        return direct_sum_all([Z, etale_h(space, 1), etale_h(space, 2)])
+    if i == 1:
+        return direct_sum(deg, jac)
+    return direct_sum_all([Z2, deg, jac])
 
 
 def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    _require_curve(space)
-    tw = _curve_twist(space, twist)
+    require_kind(space, "curve")
+    tw = check_twist(space, twist)
     h1 = etale_h(space, 1)
     i %= 4
     if tw == ODD_TWIST:
@@ -128,49 +135,23 @@ def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
 
 
 def gw_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    """Total group minus the bracketed point summands (twisted: no brackets)."""
-    _require_curve(space)
-    tw = _curve_twist(space, twist)
-    i %= 4
-    if tw == ODD_TWIST:
-        return gw_curve(space, i, tw)
-    if i == 0:
-        return direct_sum(etale_h(space, 1), etale_h(space, 2))
-    if i == 2:
-        return TRIVIAL
-    if i == 3:
-        deg = Z if space.projective else TRIVIAL
-        return direct_sum(deg, divisible(picard(space).divisible_rank))
-    return gw_curve(space, i, tw)
-
-
-def w_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    _require_curve(space)
-    tw = _curve_twist(space, twist)
-    if tw == TRIVIAL_TWIST and i % 4 == 0:
-        return exponent_two(etale_h(space, 1))
-    return w_curve(space, i, tw)
+    return cancel_point(gw_curve(space, i, twist), gw_point(i), twist)
 
 
 # ---------------------------------------------------------------------------
 # surfaces
 
 
-def _require_surface(space: SpaceDescriptor):
-    if not isinstance(space, SpaceDescriptor) or space.kind != "surface":
-        raise InconsistentDescriptor("expected a surface descriptor")
-
-
 def w0_graded_surface(space: SpaceDescriptor):
     """Graded pieces (rank, w1-bar, w2-bar) of W^0."""
-    _require_surface(space)
+    require_kind(space, "surface")
     h2 = etale_h(space, 2)
     pic_rank = f2_rank(picard_image_matrix(space))
     return (Z2, etale_h(space, 1), elementary_two(mod2_rank(h2) - pic_rank))
 
 
 def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
-    _require_surface(space)
+    require_kind(space, "surface")
     s1_rank = f2_rank(space.s1)
     i %= 4
     if i == 0:
@@ -185,24 +166,35 @@ def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
     if space.projective:
         # Betti-number forms of the same groups; a second route through the data
         b = betti(space)
+        ok = True
         if i == 0:
-            assert mod2_rank(g) - 1 == b[1] + b[2] - space.rho + 2 * space.nu
+            ok = mod2_rank(g) - 1 == b[1] + b[2] - space.rho + 2 * space.nu
         elif i == 1:
-            assert mod2_rank(g) == b[1] + space.rho + 2 * space.nu - s1_rank
+            ok = mod2_rank(g) == b[1] + space.rho + 2 * space.nu - s1_rank
         elif i == 2:
-            assert mod2_rank(g) == space.ch2_mod2_rank - s1_rank
+            ok = mod2_rank(g) == space.ch2_mod2_rank - s1_rank
+        if not ok:
+            raise InvariantViolation(
+                "W^%d of %s disagrees with its Betti-number form" % (i, space))
     return exponent_two(g)
 
 
-def w_surface_reduced(space: SpaceDescriptor, i: int) -> SymGroup:
-    if i % 4 == 0:
-        _, w1, w2 = w0_graded_surface(space)
-        return exponent_two(direct_sum(w1, w2))
+# ---------------------------------------------------------------------------
+# any space
+
+
+def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    """W^i of a point, a curve or a surface."""
+    tw = check_twist(space, twist)
+    if space.kind == "point":
+        return w_point(i)
+    if space.kind == "curve":
+        return w_curve(space, i, tw)
     return w_surface(space, i)
 
 
-# ---------------------------------------------------------------------------
-# assembled tables
+def w_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    return cancel_point(w(space, i, twist), w_point(i), twist)
 
 
 @dataclass(frozen=True)
@@ -217,41 +209,23 @@ class WittTable:
 
 
 def witt_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> WittTable:
-    tw = normalize_twist(twist)
-    if space.kind == "point":
-        if tw != TRIVIAL_TWIST:
-            raise NoSuchTwist("a point has no nontrivial twist class")
-        return WittTable(
-            kind="point",
-            twist=tw,
-            gw=tuple(gw_point(i) for i in range(4)),
-            w=tuple(w_point(i) for i in range(4)),
-            gw_reduced=(TRIVIAL,) * 4,
-            w_reduced=(TRIVIAL,) * 4,
-            flags={},
-        )
-    if space.kind == "curve":
-        tw = _curve_twist(space, tw)
-        return WittTable(
-            kind="curve",
-            twist=tw,
-            gw=tuple(gw_curve(space, i, tw) for i in range(4)),
-            w=tuple(w_curve(space, i, tw) for i in range(4)),
-            gw_reduced=tuple(gw_curve_reduced(space, i, tw) for i in range(4)),
-            w_reduced=tuple(w_curve_reduced(space, i, tw) for i in range(4)),
-            flags={"karoubi_split": list(_split_flags(space, tw))},
-        )
-    _require_surface(space)
-    if tw != TRIVIAL_TWIST:
-        raise UnsupportedTwist("twisted surface groups are out of contract")
+    tw = check_twist(space, twist)
+    w_row = tuple(w(space, i, tw) for i in range(4))
+    if space.kind == "surface":
+        gw_row = gw_red = (None,) * 4
+    else:
+        gw_row = tuple(gw_point(i) if space.kind == "point" else gw_curve(space, i, tw)
+                       for i in range(4))
+        gw_red = tuple(cancel_point(g, gw_point(i), tw) for i, g in enumerate(gw_row))
     return WittTable(
-        kind="surface",
+        kind=space.kind,
         twist=tw,
-        gw=(None,) * 4,
-        w=tuple(w_surface(space, i) for i in range(4)),
-        gw_reduced=(None,) * 4,
-        w_reduced=tuple(w_surface_reduced(space, i) for i in range(4)),
-        flags={},
+        gw=gw_row,
+        w=w_row,
+        gw_reduced=gw_red,
+        w_reduced=tuple(cancel_point(g, w_point(i), tw) for i, g in enumerate(w_row)),
+        flags={"karoubi_split": list(_split_flags(space, tw))}
+        if space.kind == "curve" else {},
     )
 
 
@@ -286,13 +260,12 @@ class FHImage:
 
 def fh_image(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> FHImage:
     if space.kind == "surface":
-        if normalize_twist(twist) != TRIVIAL_TWIST:
-            raise UnsupportedTwist("twisted surface groups are out of contract")
+        check_twist(space, twist)
         mult = (2, 0, 2) if i % 2 == 0 else (0, 2, 0)
         return FHImage(coords=("rank", "c1", "c2"), columns=(), jac=False,
                        gr_multipliers=mult)
-    _require_curve(space)
-    tw = _curve_twist(space, twist)
+    require_kind(space, "curve")
+    tw = check_twist(space, twist)
     even = i % 2 == 0
     if tw == ODD_TWIST:
         if even:
@@ -346,23 +319,19 @@ def _split_flags(space: SpaceDescriptor, tw: str) -> tuple:
     return (True, True, True, True)
 
 
-def _karoubi_setup(space: SpaceDescriptor, tw: str):
+def _karoubi_setup(space: SpaceDescriptor, tw: str, gw_fg: tuple):
     """Coordinate frame, forgetful images, and hyperbolic matrices per shift.
 
     ``im_f[i]`` is the image of GW^i under F as (columns, divisible flag);
-    ``hyp[i]`` is the matrix of the hyperbolic map into the GW^i shadow.
+    ``hyp[i]`` is the matrix of the hyperbolic map into the GW^i shadow
+    ``gw_fg[i]``.
     """
     g2 = 2 * space.genus
-    gw_fg = tuple(
-        SymGroup(gw_curve_reduced(space, i, tw).free_rank,
-                 gw_curve_reduced(space, i, tw).torsion, 0)
-        for i in range(4)
-    )
     if not space.projective:
         k_fg = TRIVIAL
         im_f = (((), _DIV_TORSION), ((), _DIV_FULL), ((), _DIV_ZERO), ((), _DIV_FULL))
         hyp = tuple(tuple(() for _ in range(gw_fg[i].ngens)) for i in range(4))
-        return (), k_fg, im_f, hyp, gw_fg
+        return (), k_fg, im_f, hyp
     if tw == ODD_TWIST:
         k_fg = free(2)  # (rank, deg)
         im_f = (
@@ -377,7 +346,7 @@ def _karoubi_setup(space: SpaceDescriptor, tw: str):
             ((1, 0),),
             ((1, -2),),
         )
-        return ("rank", "deg"), k_fg, im_f, hyp, gw_fg
+        return ("rank", "deg"), k_fg, im_f, hyp
     k_fg = Z  # (deg)
     im_f = (
         ((), _DIV_TORSION),
@@ -391,7 +360,7 @@ def _karoubi_setup(space: SpaceDescriptor, tw: str):
         (),
         ((1,),),
     )
-    return ("deg",), k_fg, im_f, hyp, gw_fg
+    return ("deg",), k_fg, im_f, hyp
 
 
 def _in_lattice(col, cols, n: int) -> bool:
@@ -415,17 +384,19 @@ def _in_lattice(col, cols, n: int) -> bool:
 
 
 def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
-    _require_curve(space)
-    tw = _curve_twist(space, twist)
-    coords, k_fg, im_f, hyp, gw_fg = _karoubi_setup(space, tw)
+    require_kind(space, "curve")
+    tw = check_twist(space, twist)
+    gw_reds = tuple(gw_curve_reduced(space, i, tw) for i in range(4))
+    gw_fg = tuple(SymGroup(g.free_rank, g.torsion, 0) for g in gw_reds)
+    coords, k_fg, im_f, hyp = _karoubi_setup(space, tw, gw_fg)
     jac_rank = picard(space).divisible_rank
     expected_split = _split_flags(space, tw)
     nodes = []
     for i in range(4):
         failures = []
         in_cols, in_flag = im_f[(i - 1) % 4]
-        gw_red = gw_curve_reduced(space, i, tw)
-        w_red = w_curve_reduced(space, i, tw)
+        gw_red = gw_reds[i]
+        w_red = w_reduced(space, i, tw)
 
         incl = GroupMap(free(len(in_cols)), k_fg,
                         tuple(tuple(c[r] for c in in_cols) for r in range(k_fg.ngens)))

@@ -22,14 +22,23 @@ from wittkit.groups import (
     cokernel_map,
     direct_sum,
     elementary_two,
+    f2_rank,
     free,
     mat_mul,
     snf,
     zero_map,
 )
-from wittkit.spaces import INTEGRAL, betti, make_curve, make_point, singular_h
+from wittkit.spaces import INTEGRAL, MOD2, betti, make_curve, make_point, singular_h
 from wittkit.specseq import ahss_k, ahss_k_page, ahss_ko, pardon_stable
-from wittkit.topko import ko_curve, ko_point, kok, mod2_ranks
+from wittkit.topko import (
+    ko_curve,
+    ko_curve_reduced,
+    ko_point,
+    ko_table,
+    kok,
+    kok_reduced,
+    mod2_ranks,
+)
 from wittkit.witt import (
     FHImage,
     TruncatedClass,
@@ -44,10 +53,12 @@ from wittkit.witt import (
     ring_parse,
     sw_metabolic_total,
     sw_whitney_product,
+    w0_graded_surface,
     w_curve,
-    w_curve_reduced,
     w_point,
+    w_reduced,
     w_surface,
+    witt_table,
 )
 
 TWISTS = ("trivial", "O(p)")
@@ -104,9 +115,9 @@ def test_criterion_02_curve_theorem_tables():
             assert gw_curve(c, i, "O(p)") == gw_tw[i]
             assert gw_curve_reduced(c, i, "O(p)") == gw_tw[i]
             assert w_curve(c, i) == w_plain[i]
-            assert w_curve_reduced(c, i) == w_plain_red[i]
+            assert w_reduced(c, i) == w_plain_red[i]
             assert w_curve(c, i, "O(p)") == w_tw[i]
-            assert w_curve_reduced(c, i, "O(p)") == w_tw[i]
+            assert w_reduced(c, i, "O(p)") == w_tw[i]
 
     p1 = make_curve(True, 0)
     assert tuple(w_curve(p1, i) for i in range(4)) == (Z2, Z2, TRIVIAL, TRIVIAL)
@@ -143,6 +154,66 @@ def test_criterion_03_ko_curves_and_kok_matches_witt():
             for i in range(4):
                 assert kok(space, 2 * i, twist) == w_curve(space, i, twist), \
                     (name, twist, i)
+
+
+# ---------------------------------------------------------------------------
+# reduced groups: the library cancels the point summand from the totals;
+# these hand-written tables are the independent route
+
+
+def _ko_curve_reduced_oracle(space, d):
+    if space.projective:
+        g = space.genus
+        table = (elementary_two(2 * g + 1), SymGroup(2 * g, (2,), 0), Z, TRIVIAL,
+                 TRIVIAL, free(2 * g), Z, elementary_two(2 * g))
+    else:
+        k = 2 * space.genus + space.punctures - 1
+        table = (elementary_two(k), free(k), TRIVIAL, TRIVIAL,
+                 TRIVIAL, free(k), TRIVIAL, elementary_two(k))
+    return table[d % 8]
+
+
+def _kok_reduced_oracle(space, shift):
+    """Untwisted KO^shift/K minus the point summand."""
+    if shift % 8:
+        return kok(space, shift)
+    if space.kind == "point":
+        return TRIVIAL
+    h1 = singular_h(space, 1, MOD2)
+    if space.kind == "curve":
+        return h1
+    image_defect = singular_h(space, 2, MOD2).ngens - f2_rank(space.pi2)
+    return direct_sum(h1, elementary_two(image_defect))
+
+
+def _w_surface_reduced_oracle(space, i):
+    if i % 4 == 0:
+        _, w1, w2 = w0_graded_surface(space)
+        return direct_sum(w1, w2)
+    return w_surface(space, i)
+
+
+def test_reduced_groups_match_hand_written_oracles():
+    curves = [make_curve(True, g) for g in range(5)]
+    curves += [make_curve(False, g, n) for g in range(3) for n in (1, 2, 4)]
+    for c in curves:
+        oracle = tuple(_ko_curve_reduced_oracle(c, d) for d in range(8))
+        assert tuple(ko_curve_reduced(c, d) for d in range(8)) == oracle, c
+        assert ko_table(c).ko_reduced == oracle, c
+        for twist in _twists_for(c):
+            # criterion 2 pins gw_curve_reduced and w_reduced to their tables
+            t = witt_table(c, twist)
+            assert t.gw_reduced == tuple(gw_curve_reduced(c, i, twist) for i in range(4))
+            assert t.w_reduced == tuple(w_reduced(c, i, twist) for i in range(4))
+    surfaces = [catalog_get(n).descriptor for n in CATALOG_SURFACES]
+    for space in [make_point()] + curves + surfaces:
+        oracle = tuple(_kok_reduced_oracle(space, 2 * i) for i in range(4))
+        assert tuple(kok_reduced(space, 2 * i) for i in range(4)) == oracle, space
+        assert ko_table(space).kok_reduced == oracle, space
+    for space in surfaces:
+        oracle = tuple(_w_surface_reduced_oracle(space, i) for i in range(4))
+        assert tuple(w_reduced(space, i) for i in range(4)) == oracle, space
+        assert witt_table(space).w_reduced == oracle, space
 
 
 # ---------------------------------------------------------------------------

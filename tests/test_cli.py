@@ -387,6 +387,23 @@ def test_malformed_descriptor_files_exit_one_with_signal(tmp_path, kind):
         assert err.startswith("error [inconsistent-descriptor]: "), err
 
 
+@pytest.mark.parametrize("kind", ["deep-nesting", "long-order"])
+def test_unloadable_descriptor_files_exit_one_with_signal(tmp_path, kind):
+    if kind == "deep-nesting":
+        text = "[" * 100000 + "]" * 100000
+    else:
+        doc = json.loads(descriptor_to_json(catalog_get("p2").descriptor))
+        doc["h_int"][2] = "Z + Z/" + "3" * 5000
+        text = json.dumps(doc)
+    path = tmp_path / "unloadable.json"
+    path.write_text(text)
+    for argv in (("compute", "--space", str(path), "--theory", "w"),
+                 ("compare", "--space", str(path))):
+        code, out, err = go(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error [inconsistent-descriptor]: "), err
+
+
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 

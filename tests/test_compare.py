@@ -3,8 +3,14 @@ Picard map covers H^2."""
 
 import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import wittkit
 
 from sample_spaces import (
     abelian_like_surface,
@@ -199,9 +205,56 @@ def test_report_from_json_rejects_bad_input():
         assert info.value.signal == "render-parse"
 
 
+def test_report_from_json_rejects_deep_nesting_and_long_numbers():
+    good = json.loads(report_to_json(compare_w_kok(k3_surface(10))))
+    good["rows"][0]["W"] = "Z/" + "3" * 5000
+    for blob in ("[" * 100000 + "]" * 100000, json.dumps(good)):
+        with pytest.raises(WittkitError) as info:
+            report_from_json(blob)
+        assert info.value.signal == "render-parse"
+
+
 def test_report_json_twisted_round_trip():
     report = compare_w_kok(make_curve(True, 3), "O(p)")
     blob = report_to_json(report)
     assert isinstance(report_from_json(blob), ComparisonReport)
     assert report_from_json(blob) == report
     assert '"twist": "O(p)"' in blob
+
+
+def test_cross_checks_raise_under_python_O():
+    # each former bare assert, forced to fail by patching one of its inputs,
+    # must still raise when -O strips assert statements
+    child = (
+        "import sys\n"
+        "import wittkit.compare as C, wittkit.topko as T, wittkit.witt as W\n"
+        "from wittkit.catalog import catalog_get\n"
+        "from wittkit.errors import InvariantViolation\n"
+        "from wittkit.groups import TRIVIAL, Z\n"
+        "from wittkit.spaces import make_curve, make_point\n"
+        "def forced(module, name, value, call):\n"
+        "    original = getattr(module, name)\n"
+        "    setattr(module, name, value)\n"
+        "    try:\n"
+        "        call()\n"
+        "        return 'passed'\n"
+        "    except InvariantViolation as exc:\n"
+        "        return exc.signal\n"
+        "    finally:\n"
+        "        setattr(module, name, original)\n"
+        "p2 = catalog_get('p2').descriptor\n"
+        "print(sys.flags.optimize, *[\n"
+        "    forced(W, 'betti', lambda s: (1, 0, 9, 0, 1), lambda: W.w_surface(p2, 0)),\n"
+        "    forced(T, 'ko_point', lambda d: TRIVIAL, lambda: T.eta_iso_check(make_point())),\n"
+        "    forced(T, 'w', lambda s, i: Z, lambda: T.ql_hermitian_verdict(make_point())),\n"
+        "    forced(C, 'w', lambda s, i, tw: Z, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
+        "    forced(C, 'pic_surjective', lambda s: False, lambda: C.compare_w_kok(p2)),\n"
+        "])\n"
+    )
+    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1" + " invariant-violation" * 5 + "\n"

@@ -32,6 +32,7 @@ from wittkit.groups import (
     ExactnessReport,
     GroupMap,
     SymGroup,
+    cancel,
     check_exact,
     cokernel,
     cokernel_map,
@@ -42,6 +43,7 @@ from wittkit.groups import (
     direct_sum_all,
     divisible,
     elementary_two,
+    even_count,
     exponent_two,
     f2_rank,
     free,
@@ -49,9 +51,11 @@ from wittkit.groups import (
     homology_at,
     identity_map,
     image_rank2,
+    is_elementary_two,
     kernel,
     mat_mul,
     mod2,
+    mod2_generators,
     mod2_rank,
     nullspace,
     parse_group,
@@ -404,6 +408,34 @@ def test_exponent_two_check():
         with pytest.raises(InvariantViolation) as info:
             exponent_two(bad)
         assert info.value.signal == "invariant-violation"
+        assert not is_elementary_two(bad)
+
+
+@settings(max_examples=60)
+@given(sym_groups(), st.sampled_from([Z, Z2, cyclic(3), divisible(1)]))
+def test_cancel_undoes_direct_sum(a, c):
+    assert cancel(direct_sum(a, c), c) == a
+
+
+def test_cancel_rejects_non_summands():
+    for total, summand in ((cyclic(4), Z2), (Z2, Z), (TRIVIAL, divisible(1)),
+                           (SymGroup(0, (2, 12), 0), cyclic(6)), (cyclic(9), cyclic(3))):
+        with pytest.raises(InvariantViolation) as info:
+            cancel(total, summand)
+        assert info.value.signal == "invariant-violation"
+    # Z/2 + Z/4 + Z/3: the Z/2 and the Z/3 are summands, complements exact
+    g = SymGroup(0, (2, 12), 0)
+    assert cancel(g, Z2) == cyclic(12)
+    assert cancel(g, cyclic(3)) == SymGroup(0, (2, 4), 0)
+    assert cancel(g, TRIVIAL) == g
+
+
+def test_mod2_generator_counts():
+    g = SymGroup(2, (2, 6, 12, 36), 1)
+    assert even_count(g) == 4
+    assert mod2_generators(g) == (0, 1, 2, 3, 4, 5)
+    assert mod2_generators(SymGroup(1, (3, 6), 0)) == (0, 2)
+    assert mod2_rank(g) == len(mod2_generators(g))
 
 
 def test_exponent_two_check_runs_under_python_O():
@@ -456,6 +488,13 @@ def test_parse_render_inverse(g):
 
 def test_parse_rejects_garbage():
     for bad in ["", "Z/1", "Z/0", "Z^0", "D(0)", "0 + Z", "Z +", "Z++Z", "q", "Z / 2"]:
+        with pytest.raises(RenderParseError):
+            parse_group(bad)
+
+
+def test_parse_rejects_numbers_past_the_int_conversion_limit():
+    digits = "3" * 5000
+    for bad in ["Z/" + digits, "Z^" + digits, "D(%s)" % digits, "Z + Z/" + digits]:
         with pytest.raises(RenderParseError):
             parse_group(bad)
 

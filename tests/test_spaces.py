@@ -372,6 +372,20 @@ def test_projective_duality_covers_odd_torsion():
     assert descriptor_from_json(descriptor_to_json(enr)) == enr
 
 
+def test_json_too_deep_or_too_long_is_a_descriptor_error():
+    # json.loads raises RecursionError on deep nesting and ValueError on an
+    # integer past the int-conversion limit; neither may escape the loader
+    digits = "3" * 5000
+    for text in ("[" * 100000 + "]" * 100000,
+                 '{"kind": "curve", "projective": true, "genus": %s, "punctures": 0}'
+                 % digits):
+        with pytest.raises(InconsistentDescriptor, match="not valid JSON"):
+            descriptor_from_json(text)
+    doc = _p2_doc(h_int=["Z", "0", "Z + Z/" + digits, "0", "Z"])
+    with pytest.raises(InconsistentDescriptor, match="h_int"):
+        descriptor_from_json(json.dumps(doc))
+
+
 def test_render_parse_used_by_descriptors():
     # the h_int grammar is the group grammar
     assert render(parse_group("Z^10 + Z/2")) == "Z^10 + Z/2"

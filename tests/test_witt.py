@@ -45,10 +45,9 @@ from wittkit.witt import (
     sw_whitney_product,
     w0_graded_surface,
     w_curve,
-    w_curve_reduced,
     w_point,
+    w_reduced,
     w_surface,
-    w_surface_reduced,
     witt_json_payload,
     witt_table,
 )
@@ -212,10 +211,10 @@ def test_reduced_plus_point_bracket_is_total(g):
     brackets_w = (Z2, TRIVIAL, TRIVIAL, TRIVIAL)
     for i in range(4):
         assert direct_sum(gw_curve_reduced(c, i), brackets_gw[i]) == gw_curve(c, i)
-        assert direct_sum(w_curve_reduced(c, i), brackets_w[i]) == w_curve(c, i)
+        assert direct_sum(w_reduced(c, i), brackets_w[i]) == w_curve(c, i)
         # twisted groups carry no point summand
         assert gw_curve_reduced(c, i, "O(p)") == gw_curve(c, i, "O(p)")
-        assert w_curve_reduced(c, i, "O(p)") == w_curve(c, i, "O(p)")
+        assert w_reduced(c, i, "O(p)") == w_curve(c, i, "O(p)")
 
 
 def test_every_w_group_has_exponent_two():
@@ -276,9 +275,9 @@ def test_w_surface_matches_pardon_engine(space):
 
 def test_w_surface_reduced():
     for space in SURFACES:
-        assert direct_sum(w_surface_reduced(space, 0), Z2) == w_surface(space, 0)
+        assert direct_sum(w_reduced(space, 0), Z2) == w_surface(space, 0)
         for i in (1, 2, 3):
-            assert w_surface_reduced(space, i) == w_surface(space, i)
+            assert w_reduced(space, i) == w_surface(space, i)
 
 
 def test_witt_table_payload_shape():
@@ -345,7 +344,7 @@ def test_karoubi_untwisted(g):
     assert [n.s_piece for n in rep.nodes] == [
         Z2, SymGroup(1, (), 2 * g), TRIVIAL, SymGroup(1, (), 2 * g)]
     for i, n in enumerate(rep.nodes):
-        assert n.w_reduced == w_curve_reduced(c, i)
+        assert n.w_reduced == w_reduced(c, i)
         assert n.gw_reduced == gw_curve_reduced(c, i)
         assert n.failures == ()
 
