@@ -4,6 +4,9 @@ Groups are kept in a canonical form (free rank, invariant-factor chain,
 divisible 2-torsion rank) so that equality is structural. Maps between the
 finitely generated parts are integer matrices on the canonical generators,
 and kernels, cokernels and homology are computed through Smith normal form.
+Each of them runs the elimination with only the transform it reads: kernel
+and homology read the column transform V (through ``nullspace``) and then
+invariant factors alone, the cokernel projection only the row transform U.
 
 Matrix convention: a matrix is a tuple of row tuples of exact ints. An
 m-by-0 matrix is ``((),) * m`` and a 0-by-n matrix is ``()``; functions that
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     InvariantViolation,
@@ -56,57 +59,66 @@ def _column(m, j: int, nrows: int):
 def _swap_rows(a, u, i, j):
     if i != j:
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
 
 def _swap_cols(a, v, i, j):
     if i != j:
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
 
 def _add_row(a, u, dst, src, mult):
     # row_dst += mult * row_src
     if mult:
         a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
 
 
 def _add_col(a, v, dst, src, mult):
     if mult:
         for row in a:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
+            if row[src]:
+                row[dst] += mult * row[src]
+        if v is not None:
+            for row in v:
+                if row[src]:
+                    row[dst] += mult * row[src]
 
 
-def snf(m, rows: int | None = None, cols: int | None = None):
-    """Smith normal form with transforms: returns (U, S, V) with U*m*V = S.
+def _smith(m, rows, cols, track_u, track_v):
+    """The elimination behind ``snf``, as lists: (U or None, S, V or None).
 
-    U and V are unimodular, S is diagonal with nonnegative entries forming a
-    divisibility chain d1 | d2 | ... Zeros come last.
+    U and V are built and updated only when tracked; S and every row and
+    column operation are the same either way.
     """
     nr = rows if rows is not None else len(m)
     nc = cols if cols is not None else (len(m[0]) if m else 0)
     a = [list(map(int, row)) for row in m]
     if len(a) != nr or any(len(row) != nc for row in a):
         raise ShapeMismatch("matrix shape does not match declared %dx%d" % (nr, nc))
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)] if track_u else None
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if track_v else None
 
     t = 0
     while t < min(nr, nc):
-        # smallest nonzero entry of the trailing block becomes the pivot
-        best, pi, pj = 0, -1, -1
+        # first smallest |entry| of the trailing block in row-major order;
+        # a unit cannot be beaten, so the search stops at the first one
+        best, pi = 0, -1
         for i in range(t, nr):
-            for j in range(t, nc):
-                e = abs(a[i][j])
-                if e and (best == 0 or e < best):
-                    best, pi, pj = e, i, j
+            e = min(map(abs, filter(None, a[i][t:])), default=0)
+            if e and (best == 0 or e < best):
+                best, pi = e, i
+                if e == 1:
+                    break
         if pi < 0:
             break
+        pj = list(map(abs, a[pi])).index(best, t)
         _swap_rows(a, u, t, pi)
         _swap_cols(a, v, t, pj)
         while True:
@@ -128,31 +140,45 @@ def snf(m, rows: int | None = None, cols: int | None = None):
                         restart = True
             if restart:
                 continue
-            # pivot must divide the whole trailing block for the chain
-            bad = None
-            for i in range(t + 1, nr):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):
-                    bad = i
-                    break
+            # pivot must divide the whole trailing block for the chain; a
+            # unit always does, otherwise the first row it fails is added
+            p = a[t][t]
+            if p == 1 or p == -1:
+                break
+            bad = next((i for i in range(t + 1, nr) if gcd(*a[i][t + 1:]) % p), None)
             if bad is None:
                 break
             _add_row(a, u, t, bad, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         t += 1
+    return u, a, v
 
-    return (
-        tuple(map(tuple, u)),
-        tuple(map(tuple, a)),
-        tuple(map(tuple, v)),
-    )
+
+def snf(m, rows: int | None = None, cols: int | None = None):
+    """Smith normal form with transforms: returns (U, S, V) with U*m*V = S.
+
+    U and V are unimodular, S is diagonal with nonnegative entries forming a
+    divisibility chain d1 | d2 | ... Zeros come last.
+
+    The pivot at each step is the first entry of smallest nonzero absolute
+    value of the trailing block in row-major order; the search stops at the
+    first unit. Internal callers run the same elimination without the
+    transforms they do not read: ``snf_diagonal`` (presentations,
+    ``direct_sum``) tracks neither, ``nullspace`` tracks only V (``kernel``
+    and ``homology_at`` call both of these), and ``cokernel_map`` and the
+    lattice test of ``witt`` track only U.
+    """
+    u, s, v = _smith(m, rows, cols, True, True)
+    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
 
 
 def snf_diagonal(m, rows: int | None = None, cols: int | None = None):
     nr = rows if rows is not None else len(m)
     nc = cols if cols is not None else (len(m[0]) if m else 0)
-    _, s, _ = snf(m, nr, nc)
+    _, s, _ = _smith(m, nr, nc, False, False)
     return tuple(s[i][i] for i in range(min(nr, nc)))
 
 
@@ -163,7 +189,7 @@ def nullspace(m, rows: int | None = None, cols: int | None = None):
     """
     nr = rows if rows is not None else len(m)
     nc = cols if cols is not None else (len(m[0]) if m else 0)
-    _, s, v = snf(m, nr, nc)
+    _, s, v = _smith(m, nr, nc, False, True)
     k = min(nr, nc)
     return tuple(
         tuple(v[i][j] for i in range(nc))
@@ -561,7 +587,7 @@ def cokernel_map(f: GroupMap):
     rel = tuple(
         _column(f.matrix, j, n) for j in range(f.domain.ngens)
     ) + relation_rows(b)
-    u1, s1, _ = snf(transpose(rel, n), n, len(rel))
+    u1, s1, _ = _smith(transpose(rel, n), n, len(rel), True, False)
     k = min(n, len(rel))
     free_idx = [i for i in range(n) if i >= k or s1[i][i] == 0]
     tor_idx = [i for i in range(k) if s1[i][i] >= 2]

@@ -35,6 +35,11 @@ from .groups import (
 INTEGRAL = "integral"
 MOD2 = "mod2"
 
+# largest 2g + n of a curve: the tables build 2g + n invariant factors and
+# square matrices of that side, so a genus from a file must stay near the
+# largest size the tables are meant for (g = 1000, with room for punctures)
+MAX_CURVE_RANK = 2048
+
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -75,6 +80,9 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
         raise InconsistentDescriptor("projective curve cannot have punctures")
     if not projective and punctures == 0:
         raise InconsistentDescriptor("affine curve needs at least one puncture")
+    if 2 * genus + punctures > MAX_CURVE_RANK:
+        raise InconsistentDescriptor(
+            "2 * genus + punctures must be at most %d" % MAX_CURVE_RANK)
     return SpaceDescriptor(kind="curve", projective=bool(projective), genus=genus,
                            punctures=punctures)
 

@@ -38,7 +38,7 @@ from .groups import (
     image_rank2,
     mod2_rank,
     render,
-    snf,
+    _smith,
 )
 from .spaces import (
     SpaceDescriptor,
@@ -370,7 +370,7 @@ def _in_lattice(col, cols, n: int) -> bool:
     if not cols:
         return False
     m = tuple(tuple(c[i] for c in cols) for i in range(n))
-    u, s, _ = snf(m, n, len(cols))
+    u, s, _ = _smith(m, n, len(cols), True, False)
     target = tuple(sum(u[i][j] * col[j] for j in range(n)) for i in range(n))
     k = min(n, len(cols))
     for i in range(n):

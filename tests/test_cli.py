@@ -404,6 +404,21 @@ def test_unloadable_descriptor_files_exit_one_with_signal(tmp_path, kind):
         assert err.startswith("error [inconsistent-descriptor]: "), err
 
 
+@pytest.mark.parametrize("fields", [
+    {"projective": True, "genus": 10 ** 12, "punctures": 0},
+    {"projective": False, "genus": 1, "punctures": 10 ** 12},
+], ids=["genus", "punctures"])
+def test_oversized_curve_files_exit_one_with_signal(tmp_path, fields):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(kind="curve", **fields)))
+    for argv in (("compute", "--space", str(path), "--theory", "w"),
+                 ("compute", "--space", str(path), "--theory", "ko"),
+                 ("compare", "--space", str(path))):
+        code, out, err = go(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error [inconsistent-descriptor]: "), err
+
+
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 

@@ -3,7 +3,8 @@
 The oracles never call into the code under test: determinants come from a
 fraction-free Bareiss elimination, invariant factors from gcds of minors,
 group structure from brute-force element counting, and F2 ranks from image
-enumeration.
+enumeration. The Smith normal form is also checked against a frozen copy of
+its earlier, unoptimised elimination, which must give the same transforms.
 """
 
 import itertools
@@ -67,6 +68,7 @@ from wittkit.groups import (
     two_torsion,
     zero_map,
 )
+from wittkit import groups
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -164,6 +166,108 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+# The Smith normal form as it stood before its pivot search, divisibility
+# sweep and transforms were made cheaper, copied verbatim (only renamed).
+# The current elimination must make the same pivot choices and the same row
+# and column operations, so it returns the same (U, S, V) on every input.
+
+
+def _swap_rows(a, u, i, j):
+    if i != j:
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    if i != j:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+
+def _add_row(a, u, dst, src, mult):
+    # row_dst += mult * row_src
+    if mult:
+        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
+
+
+def _add_col(a, v, dst, src, mult):
+    if mult:
+        for row in a:
+            row[dst] += mult * row[src]
+        for row in v:
+            row[dst] += mult * row[src]
+
+
+def reference_snf(m, rows: int | None = None, cols: int | None = None):
+    """Smith normal form with transforms: returns (U, S, V) with U*m*V = S.
+
+    U and V are unimodular, S is diagonal with nonnegative entries forming a
+    divisibility chain d1 | d2 | ... Zeros come last.
+    """
+    nr = rows if rows is not None else len(m)
+    nc = cols if cols is not None else (len(m[0]) if m else 0)
+    a = [list(map(int, row)) for row in m]
+    if len(a) != nr or any(len(row) != nc for row in a):
+        raise ShapeMismatch("matrix shape does not match declared %dx%d" % (nr, nc))
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    t = 0
+    while t < min(nr, nc):
+        # smallest nonzero entry of the trailing block becomes the pivot
+        best, pi, pj = 0, -1, -1
+        for i in range(t, nr):
+            for j in range(t, nc):
+                e = abs(a[i][j])
+                if e and (best == 0 or e < best):
+                    best, pi, pj = e, i, j
+        if pi < 0:
+            break
+        _swap_rows(a, u, t, pi)
+        _swap_cols(a, v, t, pj)
+        while True:
+            restart = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    _add_row(a, u, i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        # remainder beats the pivot; promote it and redo
+                        _swap_rows(a, u, t, i)
+                        restart = True
+            if restart:
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    _add_col(a, v, j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        _swap_cols(a, v, t, j)
+                        restart = True
+            if restart:
+                continue
+            # pivot must divide the whole trailing block for the chain
+            bad = None
+            for i in range(t + 1, nr):
+                if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):
+                    bad = i
+                    break
+            if bad is None:
+                break
+            _add_row(a, u, t, bad, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return (
+        tuple(map(tuple, u)),
+        tuple(map(tuple, a)),
+        tuple(map(tuple, v)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -176,6 +280,61 @@ def int_matrices(draw, max_rows=5, max_cols=5):
     c = draw(st.integers(0, max_cols))
     m = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(r))
     return m, r, c
+
+
+# Shapes for the differential SNF test. The elimination has no coefficient
+# control, so a dense matrix much past 10x10 can take seconds; the large
+# shapes are therefore diagonal, sparse, near-diagonal or thin.
+@st.composite
+def diagonal_matrices(draw, max_side=20):
+    r = draw(st.integers(0, max_side))
+    c = draw(st.integers(0, max_side))
+    d = draw(st.lists(st.integers(-12, 12), min_size=min(r, c), max_size=min(r, c)))
+    m = tuple(tuple(d[i] if i == j else 0 for j in range(c)) for i in range(r))
+    return m, r, c
+
+
+@st.composite
+def sparse_matrices(draw, max_side=20, max_cells=12, diagonal=False):
+    r = draw(st.integers(0, max_side))
+    c = draw(st.integers(0, max_side))
+    m = [[0] * c for _ in range(r)]
+    if diagonal:
+        for i in range(min(r, c)):
+            m[i][i] = draw(st.sampled_from((0, 1, -1, 2, 3, 4, 6, -2)))
+    if r and c:
+        for _ in range(draw(st.integers(0, max_cells))):
+            i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+            m[i][j] = draw(st.integers(-9, 9))
+    return tuple(map(tuple, m)), r, c
+
+
+@st.composite
+def dense_small_entries(draw, max_side=10):
+    r = draw(st.integers(0, max_side))
+    c = draw(st.integers(0, max_side))
+    cell = st.sampled_from((0, 1, -1, 2, -2))
+    m = tuple(tuple(draw(cell) for _ in range(c)) for _ in range(r))
+    return m, r, c
+
+
+@st.composite
+def thin_matrices(draw, max_short=3, max_long=20):
+    short = draw(st.integers(0, max_short))
+    long_ = draw(st.integers(0, max_long))
+    r, c = (short, long_) if draw(st.booleans()) else (long_, short)
+    m = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(r))
+    return m, r, c
+
+
+snf_shapes = st.one_of(
+    int_matrices(),
+    diagonal_matrices(),
+    sparse_matrices(),
+    sparse_matrices(max_cells=8, diagonal=True),
+    dense_small_entries(),
+    thin_matrices(),
+)
 
 
 @st.composite
@@ -295,6 +454,48 @@ def test_nullspace_properties(mrc):
     if basis:
         diag = snf_diagonal(basis, len(basis), c)
         assert all(d == 1 for d in diag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snf_shapes)
+def test_snf_matches_reference_elimination(mrc):
+    m, r, c = mrc
+    want = reference_snf(m, r, c)
+    rows = [list(row) for row in m]
+    assert snf(rows, r, c) == want
+    assert rows == [list(row) for row in m]  # the input is left alone
+    u, s, v = want
+    k = min(r, c)
+    assert snf_diagonal(rows, r, c) == tuple(s[i][i] for i in range(k))
+    assert nullspace(rows, r, c) == tuple(
+        tuple(v[i][j] for i in range(c)) for j in range(c) if j >= k or s[j][j] == 0)
+    assert rows == [list(row) for row in m]
+    # the private core gives the same S and each transform it tracks
+    for track_u, track_v in itertools.product((False, True), repeat=2):
+        cu, cs, cv = groups._smith(m, r, c, track_u, track_v)
+        assert tuple(map(tuple, cs)) == s
+        assert (cu is not None) == track_u and (cv is not None) == track_v
+        if track_u:
+            assert tuple(map(tuple, cu)) == u
+        if track_v:
+            assert tuple(map(tuple, cv)) == v
+
+
+def test_snf_matches_reference_on_fixed_shapes():
+    # pivot ties, unit short cut, divisibility fix-up and negative pivots
+    cases = (
+        ((2, 4), (6, 8)),
+        ((2, 0), (0, 3)),                 # the sweep must add the bad row
+        ((4, 6, 2), (2, 2, 4), (6, 2, 2)),
+        ((0, -3, 3), (3, 0, -3), (-3, 3, 0)),
+        ((5, 1, 1), (1, 5, 1), (1, 1, -1)),
+        ((-2, 0, 0, 0), (0, 0, -4, 0), (0, 6, 0, 0)),
+        tuple(tuple(2 if i == j else 0 for j in range(20)) for i in range(20)),
+        tuple(tuple(d if i == j else 0 for j in range(12)) for i, d in
+              enumerate((12, 8, 6, 9, 4, 10, 3, 2, 15, 14, 7, 5))),
+    )
+    for m in cases:
+        assert snf(m) == reference_snf(m), m
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from wittkit.groups import (
 )
 from wittkit.spaces import (
     INTEGRAL,
+    MAX_CURVE_RANK,
     MOD2,
     betti,
     descriptor_from_json,
@@ -86,6 +87,29 @@ def test_make_curve_validation():
         make_curve(False, 1, 0)
     with pytest.raises(InconsistentDescriptor):
         make_curve(True, -1)
+
+
+def test_curve_size_is_bounded():
+    # the tables build 2g + n invariant factors; a huge genus must be
+    # refused at construction, not run the process out of memory
+    assert MAX_CURVE_RANK >= 2 * 1000
+    make_curve(True, 1000)
+    make_curve(True, MAX_CURVE_RANK // 2)
+    make_curve(False, 0, MAX_CURVE_RANK)
+    make_curve(False, 1000, MAX_CURVE_RANK - 2000)
+    for projective, genus, punctures in ((True, MAX_CURVE_RANK // 2 + 1, 0),
+                                         (False, 1000, MAX_CURVE_RANK - 1999),
+                                         (False, 0, MAX_CURVE_RANK + 1),
+                                         (True, 10 ** 12, 0),
+                                         (False, 1, 10 ** 12)):
+        with pytest.raises(InconsistentDescriptor, match="genus"):
+            make_curve(projective, genus, punctures)
+    for fields in ({"projective": True, "genus": 10 ** 12, "punctures": 0},
+                   {"projective": False, "genus": 1, "punctures": 10 ** 12}):
+        with pytest.raises(InconsistentDescriptor, match="genus"):
+            descriptor_from_json(json.dumps(dict(kind="curve", **fields)))
+    doc = {"kind": "curve", "projective": True, "genus": 37, "punctures": 0}
+    assert descriptor_from_json(json.dumps(doc)) == make_curve(True, 37)
 
 
 def p2_surface():

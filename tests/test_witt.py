@@ -16,6 +16,7 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
+from wittkit import groups as groups_module, witt as witt_module
 from wittkit.errors import (
     InconsistentDescriptor,
     NoSuchTwist,
@@ -24,9 +25,11 @@ from wittkit.errors import (
     TruncationError,
     UnsupportedTwist,
 )
+from wittkit.compare import compare_w_kok
 from wittkit.groups import TRIVIAL, Z, Z2, SymGroup, direct_sum, elementary_two, render
 from wittkit.spaces import make_curve, make_point, make_surface
 from wittkit.specseq import pardon_stable
+from wittkit.topko import ko_table
 from wittkit.witt import (
     FHImage,
     TruncatedClass,
@@ -561,3 +564,33 @@ def test_ring_parse_render():
     gen = generic_sw_ring(2)
     assert gen.basis[0] == "1" and gen.degrees[0] == 0
     assert ring_parse(gen, "1") == gen.unit()
+
+
+# Smith normal forms per call on a genus-20 projective curve. Each kernel,
+# cokernel, presentation, direct sum and lattice test runs one elimination;
+# these are the counts once the duplicate tables were derived from one
+# another, and a change that adds eliminations must lower them or say why.
+ELIMINATIONS_GENUS_20 = (
+    ("witt_table", lambda c: witt_table(c), 8),
+    ("witt_table O(p)", lambda c: witt_table(c, "O(p)"), 3),
+    ("ko_table", lambda c: ko_table(c), 4),
+    ("karoubi_check", lambda c: karoubi_check(c), 50),
+    ("compare_w_kok", lambda c: compare_w_kok(c), 5),
+)
+
+
+@pytest.mark.parametrize("name, call, most", ELIMINATIONS_GENUS_20,
+                         ids=[row[0] for row in ELIMINATIONS_GENUS_20])
+def test_elimination_count_does_not_grow(monkeypatch, name, call, most):
+    calls = []
+    core = groups_module._smith
+
+    def counted(*args):
+        calls.append(None)
+        return core(*args)
+
+    # witt imports the core by name for its lattice test
+    monkeypatch.setattr(groups_module, "_smith", counted)
+    monkeypatch.setattr(witt_module, "_smith", counted)
+    call(make_curve(True, 20))
+    assert 0 < len(calls) <= most, (name, len(calls))
