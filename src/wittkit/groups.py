@@ -4,9 +4,10 @@ Groups are kept in a canonical form (free rank, invariant-factor chain,
 divisible 2-torsion rank) so that equality is structural. Maps between the
 finitely generated parts are integer matrices on the canonical generators,
 and kernels, cokernels and homology are computed through Smith normal form.
-Each of them runs the elimination with only the transform it reads: kernel
-and homology read the column transform V (through ``nullspace``) and then
-invariant factors alone, the cokernel projection only the row transform U.
+All three are ``homology_at``, with ``None`` for the missing map. It reads
+the column transform V (through ``nullspace``) and then invariant factors
+alone; a zero outgoing map and zero image columns cost no elimination. The
+cokernel projection of ``cokernel_map`` reads only the row transform U.
 
 Matrix convention: a matrix is a tuple of row tuples of exact ints. An
 m-by-0 matrix is ``((),) * m`` and a 0-by-n matrix is ``()``; functions that
@@ -167,9 +168,10 @@ def snf(m, rows: int | None = None, cols: int | None = None):
     value of the trailing block in row-major order; the search stops at the
     first unit. Internal callers run the same elimination without the
     transforms they do not read: ``snf_diagonal`` (presentations,
-    ``direct_sum``) tracks neither, ``nullspace`` tracks only V (``kernel``
-    and ``homology_at`` call both of these), and ``cokernel_map`` and the
-    lattice test of ``witt`` track only U.
+    ``direct_sum``) tracks neither, ``nullspace`` tracks only V
+    (``homology_at``, behind ``kernel`` and ``cokernel``, calls both of
+    these), and ``cokernel_map``, also behind the lattice test of ``witt``,
+    tracks only U.
     """
     u, s, v = _smith(m, rows, cols, True, True)
     return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
@@ -549,34 +551,8 @@ def _require_absent(f: GroupMap):
         )
 
 
-def _kernel_span_rows(f: GroupMap):
-    # spanning rows (in domain coordinates) of {x : f(x) lies in the codomain
-    # relation lattice}; always contains the domain relation lattice
-    a, b = f.domain, f.codomain
-    relb = relation_rows(b)
-    ncols = a.ngens + len(relb)
-    stacked = tuple(
-        tuple(f.matrix[i][j] for j in range(a.ngens)) + tuple(r[i] for r in relb)
-        for i in range(b.ngens)
-    )
-    basis = nullspace(stacked, b.ngens, ncols)
-    return tuple(vec[: a.ngens] for vec in basis)
-
-
-def _spanned_subquotient(span_rows, mod_rows, n: int) -> SymGroup:
-    # (lattice spanned by span_rows + mod_rows) / (lattice of mod_rows),
-    # presented on the span_rows as generators
-    k = len(span_rows)
-    stacked = tuple(span_rows) + tuple(mod_rows)
-    qt = transpose(stacked, n)
-    rels = tuple(vec[:k] for vec in nullspace(qt, n, len(stacked)))
-    return group_from_presentation(rels, k)
-
-
 def kernel(f: GroupMap) -> SymGroup:
-    _require_absent(f)
-    span = _kernel_span_rows(f)
-    return _spanned_subquotient(span, relation_rows(f.domain), f.domain.ngens)
+    return homology_at(None, f)
 
 
 def cokernel_map(f: GroupMap):
@@ -597,7 +573,7 @@ def cokernel_map(f: GroupMap):
 
 
 def cokernel(f: GroupMap) -> SymGroup:
-    return cokernel_map(f)[0]
+    return homology_at(f, None)
 
 
 def image_rank2(f: GroupMap) -> int:
@@ -622,18 +598,36 @@ def composite_is_zero(f: GroupMap, g: GroupMap) -> bool:
     )
 
 
-def homology_at(f: GroupMap, g: GroupMap) -> SymGroup:
-    """ker(g)/im(f) at the middle group; the composite must be zero."""
-    _require_absent(f)
-    _require_absent(g)
-    if not composite_is_zero(f, g):
+def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
+    """ker(g)/im(f) at the middle group; ``None`` stands for the zero map.
+
+    At least one map is given. ``kernel`` is ``homology_at(None, g)`` and
+    ``cokernel`` is ``homology_at(f, None)``; when both maps are given their
+    composite must be zero. Zero image columns add no relation, and a zero g
+    makes every element a cycle, so it costs no nullspace.
+    """
+    for m in (f, g):
+        if m is not None:
+            _require_absent(m)
+    if f is not None and g is not None and not composite_is_zero(f, g):
         raise ValueError("homology undefined: composite is not zero")
-    b = f.codomain
-    span = _kernel_span_rows(g)
-    mod = tuple(
-        _column(f.matrix, j, b.ngens) for j in range(f.domain.ngens)
-    ) + relation_rows(b)
-    return _spanned_subquotient(span, mod, b.ngens)
+    b = f.codomain if f is not None else g.domain
+    n = b.ngens
+    images = () if f is None else tuple(
+        col for col in transpose(f.matrix, f.domain.ngens) if any(col))
+    boundaries = images + relation_rows(b)
+    if g is None or not any(map(any, g.matrix)):
+        return group_from_presentation(boundaries, n) if images else b
+    # cycles: {x : g(x) lies in the codomain relation lattice}, spanned in
+    # domain coordinates; the lattice always contains b's own relations
+    c = g.codomain
+    relc = relation_rows(c)
+    stacked = tuple(g.matrix[i] + tuple(r[i] for r in relc) for i in range(c.ngens))
+    cycles = tuple(vec[:n] for vec in nullspace(stacked, c.ngens, n + len(relc)))
+    # (cycles + boundaries) / boundaries, presented on the cycles
+    k = len(cycles)
+    basis = nullspace(transpose(cycles + boundaries, n), n, k + len(boundaries))
+    return group_from_presentation(tuple(vec[:k] for vec in basis), k)
 
 
 @dataclass(frozen=True)

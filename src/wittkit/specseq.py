@@ -21,14 +21,12 @@ from .groups import (
     Z2,
     GroupMap,
     SymGroup,
-    cokernel,
     composite_is_zero,
     direct_sum_all,
     elementary_two,
     f2_rank,
     homology_at,
     is_elementary_two,
-    kernel,
     mod2,
     mod2_generators,
     render,
@@ -122,14 +120,10 @@ def turn_page(page: BigradedPage, next_differentials=None) -> BigradedPage:
     for pos, grp in page.entries.items():
         outgoing = page.differentials.get(pos)
         incoming = page.differentials.get((pos[0] - ds, pos[1] - dt))
-        if incoming is not None and outgoing is not None:
-            h = homology_at(incoming, outgoing)
-        elif outgoing is not None:
-            h = kernel(outgoing)
-        elif incoming is not None:
-            h = cokernel(incoming)
-        else:
+        if incoming is None and outgoing is None:
             h = grp
+        else:
+            h = homology_at(incoming, outgoing)
         if not h.is_trivial:
             new_entries[pos] = h
     return BigradedPage(
@@ -168,14 +162,11 @@ class EInfinityReport:
 
     def resolved_group(self, degree: int):
         """The abutment in one degree, or None when it cannot be assembled."""
-        if degree in self.unknown_degrees:
+        resolved = self.extension_resolved.get(degree, True)
+        if degree in self.unknown_degrees or not resolved:
             return None
         pieces = self.pieces(degree)
-        if len(pieces) <= 1:
-            return pieces[0] if pieces else TRIVIAL
-        if self.exponent_two and all(is_elementary_two(g) for g in pieces):
-            return direct_sum_all(pieces)
-        return None
+        return pieces[0] if len(pieces) == 1 else direct_sum_all(pieces)
 
 
 def run_to_stable(

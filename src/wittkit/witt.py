@@ -28,6 +28,7 @@ from .groups import (
     cancel,
     check_exact,
     cokernel_map,
+    composite_is_zero,
     direct_sum,
     direct_sum_all,
     divisible,
@@ -38,7 +39,6 @@ from .groups import (
     image_rank2,
     mod2_rank,
     render,
-    _smith,
 )
 from .spaces import (
     SpaceDescriptor,
@@ -369,18 +369,9 @@ def _in_lattice(col, cols, n: int) -> bool:
         return True
     if not cols:
         return False
-    m = tuple(tuple(c[i] for c in cols) for i in range(n))
-    u, s, _ = _smith(m, n, len(cols), True, False)
-    target = tuple(sum(u[i][j] * col[j] for j in range(n)) for i in range(n))
-    k = min(n, len(cols))
-    for i in range(n):
-        d = s[i][i] if i < k else 0
-        if d == 0:
-            if target[i]:
-                return False
-        elif target[i] % d:
-            return False
-    return True
+    span = GroupMap(free(len(cols)), free(n), tuple(zip(*cols)))
+    _, proj = cokernel_map(span)
+    return composite_is_zero(GroupMap(Z, free(n), tuple((x,) for x in col)), proj)
 
 
 def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:

@@ -1,8 +1,9 @@
 """Contract pins that cut across modules.
 
 The error signal of each public entry point on every kind of space and
-twist class, and a guard that keeps bare ``assert`` statements (stripped by
-``python -O``) out of the package.
+twist class, a guard that keeps bare ``assert`` statements (stripped by
+``python -O``) out of the package, and one that keeps each module's private
+names to itself.
 """
 
 import ast
@@ -84,5 +85,20 @@ def test_package_has_no_bare_asserts():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_imports_no_private_names():
+    # modules reach one another through public names only
+    package = pathlib.Path(wittkit.__file__).resolve().parent
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "wittkit")
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []

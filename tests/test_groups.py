@@ -384,6 +384,21 @@ def random_well_defined_map(rng, a, b):
     return GroupMap(a, b, tuple(rows))
 
 
+# A zero map and zero image columns take their own route through
+# homology_at, so the brute-force tests draw them as well.
+MAP_SHAPES = ("random", "zero", "zero-columns")
+
+
+def shaped_map(rng, a, b, shape):
+    """A random map, the zero map, or a random map with some columns zeroed."""
+    f = random_well_defined_map(rng, a, b)
+    if shape == "random":
+        return f
+    keep = [shape == "zero-columns" and rng.random() < 0.5 for _ in range(a.ngens)]
+    return GroupMap(a, b, tuple(
+        tuple(x if k else 0 for x, k in zip(row, keep)) for row in f.matrix))
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -795,9 +810,10 @@ def test_identity_and_compose():
 
 
 @settings(max_examples=50)
-@given(finite_groups(), finite_groups(), st.randoms(use_true_random=False))
-def test_kernel_cokernel_brute_force(a, b, rng):
-    f = random_well_defined_map(rng, a, b)
+@given(finite_groups(), finite_groups(), st.sampled_from(MAP_SHAPES),
+       st.randoms(use_true_random=False))
+def test_kernel_cokernel_brute_force(a, b, shape, rng):
+    f = shaped_map(rng, a, b, shape)
     xs = elements(a)
     images = [apply_map(f, x) for x in xs]
     zero_b = tuple([0] * b.ngens)
@@ -830,6 +846,63 @@ def test_kernel_cokernel_brute_force(a, b, rng):
             // len(image)
         )
         assert got == want
+
+
+# "none" stands for the zero map given as None; one of the two maps is given
+SHAPE_PAIRS = tuple((fs, gs) for fs in MAP_SHAPES + ("none",)
+                    for gs in MAP_SHAPES + ("none",) if not fs == gs == "none")
+
+
+@settings(max_examples=50, deadline=None)
+@given(finite_groups(), finite_groups(), finite_groups(), st.sampled_from(SHAPE_PAIRS),
+       st.randoms(use_true_random=False))
+def test_homology_at_brute_force(a, b, c, shapes, rng):
+    # ker(g)/im(f) at b by enumeration
+    f_shape, g_shape = shapes
+    g = None if g_shape == "none" else shaped_map(rng, b, c, g_shape)
+    zero_b, zero_c = tuple([0] * b.ngens), tuple([0] * c.ngens)
+    cycles = [y for y in elements(b) if g is None or apply_map(g, y) == zero_c]
+    if f_shape == "none":
+        f = None
+        boundaries = {zero_b}
+    else:
+        # send each generator of a to a cycle whose order divides its own;
+        # "zero" sends all of them to 0 and "zero-columns" about half
+        cols = []
+        for d in a.torsion:
+            if f_shape == "zero" or (f_shape == "zero-columns" and rng.random() < 0.5):
+                cols.append(zero_b)
+            else:
+                cols.append(rng.choice([y for y in cycles if all(
+                    (d * yi) % q == 0 for yi, q in zip(y, b.torsion))]))
+        f = GroupMap(a, b, tuple(tuple(col[i] for col in cols) for i in range(b.ngens)))
+        boundaries = {apply_map(f, x) for x in elements(a)}
+
+    # kernel and cokernel are homology_at with None for the missing map
+    if f is None:
+        h = kernel(g)
+    elif g is None:
+        h = cokernel(f)
+    else:
+        h = homology_at(f, g)
+    assert h.free_rank == 0 and h.divisible_rank == 0
+    assert h.order() * len(boundaries) == len(cycles)
+    # classes h with d*h = 0, counted as cycles x with d*x a boundary
+    for d in divisors(h.order()):
+        want = math.prod(math.gcd(d, q) for q in h.torsion)
+        got = sum(
+            1 for x in cycles
+            if tuple((d * xi) % q for xi, q in zip(x, b.torsion)) in boundaries
+        ) // len(boundaries)
+        assert got == want
+
+
+@settings(max_examples=50)
+@given(sym_groups(max_div=0), sym_groups(max_div=0), st.sampled_from(MAP_SHAPES),
+       st.randoms(use_true_random=False))
+def test_cokernel_matches_cokernel_map(a, b, shape, rng):
+    f = shaped_map(rng, a, b, shape)
+    assert cokernel(f) == cokernel_map(f)[0]
 
 
 @settings(max_examples=50)

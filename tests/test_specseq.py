@@ -12,7 +12,9 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
-from wittkit.errors import MalformedPage
+from wittkit import groups as groups_module
+from wittkit.catalog import catalog_get
+from wittkit.errors import MalformedPage, UnsupportedDivisibleMap
 from wittkit.groups import (
     TRIVIAL,
     Z,
@@ -159,6 +161,18 @@ def test_kernel_of_integral_to_f2_surjection():
     assert nxt.group_at(4, -1) == TRIVIAL
     assert nxt.group_at(2, -1) == TRIVIAL
     assert nxt.group_at(4, -2) == TRIVIAL
+
+
+def test_turn_page_rejects_maps_with_divisible_behavior():
+    # a zero matrix takes no elimination, but its declaration is still checked
+    page = BigradedPage(
+        entries={(0, 0): Z2, (2, -1): Z2},
+        r=2,
+        convention=COHOMOLOGICAL,
+        differentials={(0, 0): zero_map(Z2, Z2, divisible_behavior="zero")},
+    )
+    with pytest.raises(UnsupportedDivisibleMap):
+        turn_page(page)
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +396,32 @@ def test_dump_format():
         "d_2[1,1→2,2] = [1]"
     )
     assert dump_page(pardon_e2(p2_surface())) == text
+
+
+# Smith normal forms per engine run, counted at groups._smith: the builders'
+# zero differentials cost none, so only the nonzero d2's are eliminated.
+ELIMINATIONS_ENGINES = (
+    ("enriques", (0, 8, 0)),
+    ("k3?rho=10", (0, 0, 0)),
+    ("ruled?g=2", (4, 16, 0)),
+)
+
+
+@pytest.mark.parametrize("name, most", ELIMINATIONS_ENGINES,
+                         ids=[row[0] for row in ELIMINATIONS_ENGINES])
+def test_engine_elimination_count_does_not_grow(monkeypatch, name, most):
+    calls = []
+    core = groups_module._smith
+
+    def counted(*args):
+        calls.append(None)
+        return core(*args)
+
+    monkeypatch.setattr(groups_module, "_smith", counted)
+    space = catalog_get(name).descriptor
+    counts = []
+    for engine in (pardon_stable, ahss_ko, ahss_k):
+        calls.clear()
+        engine(space)
+        counts.append(len(calls))
+    assert all(n <= m for n, m in zip(counts, most)), (name, counts)
