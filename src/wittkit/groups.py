@@ -4,10 +4,13 @@ Groups are kept in a canonical form (free rank, invariant-factor chain,
 divisible 2-torsion rank) so that equality is structural. Maps between the
 finitely generated parts are integer matrices on the canonical generators,
 and kernels, cokernels and homology are computed through Smith normal form.
-All three are ``homology_at``, with ``None`` for the missing map. It reads
-the column transform V (through ``nullspace``) and then invariant factors
-alone; a zero outgoing map and zero image columns cost no elimination. The
-cokernel projection of ``cokernel_map`` reads only the row transform U.
+All three are ``homology_at``, with ``None`` for the missing map. Between
+elementary 2-groups it reads F2 ranks, and a free middle group with nothing
+divided out and a finite target is its own cycle group; neither costs an
+elimination. Otherwise it reads the column transform V (through
+``nullspace``) and then invariant factors alone; a zero outgoing map and
+zero image columns cost no elimination. The cokernel projection of
+``cokernel_map`` reads only the row transform U.
 
 Matrix convention: a matrix is a tuple of row tuples of exact ints. An
 m-by-0 matrix is ``((),) * m`` and a 0-by-n matrix is ``()``; functions that
@@ -603,8 +606,13 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
 
     At least one map is given. ``kernel`` is ``homology_at(None, g)`` and
     ``cokernel`` is ``homology_at(f, None)``; when both maps are given their
-    composite must be zero. Zero image columns add no relation, and a zero g
-    makes every element a cycle, so it costs no nullspace.
+    composite must be zero. No elimination runs when the middle group and
+    g's target (if g is given) are elementary 2-groups: the answer is
+    (Z/2)^(n - r_f - r_g) with F2 ranks, 0 for a missing map. Nor when f is
+    missing or zero, the middle group is free and g's target finite: the
+    cycles have finite index in Z^n, so they are Z^n. Otherwise zero image
+    columns add no relation, and a zero g makes every element a cycle, so it
+    costs no nullspace.
     """
     for m in (f, g):
         if m is not None:
@@ -613,14 +621,19 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
         raise ValueError("homology undefined: composite is not zero")
     b = f.codomain if f is not None else g.domain
     n = b.ngens
+    c = g.codomain if g is not None else TRIVIAL
+    if is_elementary_two(b) and is_elementary_two(c):
+        return elementary_two(
+            n - sum(f2_rank(m.matrix) for m in (f, g) if m is not None))
     images = () if f is None else tuple(
         col for col in transpose(f.matrix, f.domain.ngens) if any(col))
+    if not images and not b.torsion and c.free_rank == 0:
+        return b  # a finite-index sublattice of Z^n is Z^n
     boundaries = images + relation_rows(b)
     if g is None or not any(map(any, g.matrix)):
         return group_from_presentation(boundaries, n) if images else b
     # cycles: {x : g(x) lies in the codomain relation lattice}, spanned in
     # domain coordinates; the lattice always contains b's own relations
-    c = g.codomain
     relc = relation_rows(c)
     stacked = tuple(g.matrix[i] + tuple(r[i] for r in relc) for i in range(c.ngens))
     cycles = tuple(vec[:n] for vec in nullspace(stacked, c.ngens, n + len(relc)))

@@ -159,12 +159,18 @@ def make_surface(
         pi2=pi2m,
     )
     if s1 is not None:
-        return replace(space, s1=_as_f2(s1, "s1", ch2_mod2_rank, rho + nu))
-    if rho != b2:
+        s1 = _as_f2(s1, "s1", ch2_mod2_rank, rho + nu)
+    if rho == b2:
+        # Pic covers H^2(Z), so s1 is Sq2 on the reduction of H^2(Z)
+        default = sq2_integral(space)
+        if s1 not in (None, default):
+            raise InconsistentDescriptor("s1: with rho = b2 it must equal Sq2 on H^2(Z)/2")
+        s1 = default
+    elif s1 is None:
         raise InconsistentDescriptor(
             "s1: no default available when rho < b2; supply the squaring matrix"
         )
-    return replace(space, s1=sq2_integral(space))
+    return replace(space, s1=s1)
 
 
 def require_kind(space, kind: str):

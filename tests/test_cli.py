@@ -404,6 +404,19 @@ def test_unloadable_descriptor_files_exit_one_with_signal(tmp_path, kind):
         assert err.startswith("error [inconsistent-descriptor]: "), err
 
 
+def test_s1_contradicting_sq2_exits_one_with_signal(tmp_path):
+    # with rho = b2 the squaring s1 is Sq2 on H^2(Z)/2, which is 1 on P^2
+    doc = json.loads(descriptor_to_json(catalog_get("p2").descriptor))
+    doc["s1"] = [[0]]
+    path = tmp_path / "p2_s1_zero.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("compute", "--space", str(path), "--theory", "w"),
+                 ("compare", "--space", str(path), "--assert")):
+        code, out, err = go(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error [inconsistent-descriptor]: "), err
+
+
 @pytest.mark.parametrize("fields", [
     {"projective": True, "genus": 10 ** 12, "punctures": 0},
     {"projective": False, "genus": 1, "punctures": 10 ** 12},

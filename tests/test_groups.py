@@ -4,7 +4,9 @@ The oracles never call into the code under test: determinants come from a
 fraction-free Bareiss elimination, invariant factors from gcds of minors,
 group structure from brute-force element counting, and F2 ranks from image
 enumeration. The Smith normal form is also checked against a frozen copy of
-its earlier, unoptimised elimination, which must give the same transforms.
+its earlier, unoptimised elimination, which must give the same transforms,
+and homology against a frozen copy of its integer-only route, which must
+give the same group.
 """
 
 import itertools
@@ -266,6 +268,45 @@ def reference_snf(m, rows: int | None = None, cols: int | None = None):
         tuple(map(tuple, a)),
         tuple(map(tuple, v)),
     )
+
+
+# The homology routine as it stood before the F2-rank and free-kernel
+# shortcuts, copied verbatim (only renamed). It is the integer route those
+# shortcuts skip, so the current routine must give the same group, or raise
+# the same exception, on every pair of maps.
+_require_absent = groups._require_absent
+
+
+def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
+    """ker(g)/im(f) at the middle group; ``None`` stands for the zero map.
+
+    At least one map is given. ``kernel`` is ``homology_at(None, g)`` and
+    ``cokernel`` is ``homology_at(f, None)``; when both maps are given their
+    composite must be zero. Zero image columns add no relation, and a zero g
+    makes every element a cycle, so it costs no nullspace.
+    """
+    for m in (f, g):
+        if m is not None:
+            _require_absent(m)
+    if f is not None and g is not None and not composite_is_zero(f, g):
+        raise ValueError("homology undefined: composite is not zero")
+    b = f.codomain if f is not None else g.domain
+    n = b.ngens
+    images = () if f is None else tuple(
+        col for col in transpose(f.matrix, f.domain.ngens) if any(col))
+    boundaries = images + relation_rows(b)
+    if g is None or not any(map(any, g.matrix)):
+        return group_from_presentation(boundaries, n) if images else b
+    # cycles: {x : g(x) lies in the codomain relation lattice}, spanned in
+    # domain coordinates; the lattice always contains b's own relations
+    c = g.codomain
+    relc = relation_rows(c)
+    stacked = tuple(g.matrix[i] + tuple(r[i] for r in relc) for i in range(c.ngens))
+    cycles = tuple(vec[:n] for vec in nullspace(stacked, c.ngens, n + len(relc)))
+    # (cycles + boundaries) / boundaries, presented on the cycles
+    k = len(cycles)
+    basis = nullspace(transpose(cycles + boundaries, n), n, k + len(boundaries))
+    return group_from_presentation(tuple(vec[:k] for vec in basis), k)
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +944,119 @@ def test_homology_at_brute_force(a, b, c, shapes, rng):
 def test_cokernel_matches_cokernel_map(a, b, shape, rng):
     f = shaped_map(rng, a, b, shape)
     assert cokernel(f) == cokernel_map(f)[0]
+
+
+# Groups for the differential homology test: elementary 2-groups take the
+# F2 route, free middle groups into finite targets the free-kernel route,
+# and groups with Z/4 or with a free part beside odd torsion stay on the
+# integer route. Domains may also be odd torsion, whose maps into (Z/2)^n
+# are zero mod 2 but not as integer matrices.
+@st.composite
+def homology_groups(draw, odd=False):
+    kind = draw(st.sampled_from(("elementary-two", "free", "with-four", "free-and-three")
+                                + (("odd",) if odd else ())))
+    k = draw(st.integers(0, 3))
+    if kind == "elementary-two":
+        return elementary_two(k)
+    if kind == "free":
+        return free(k)
+    if kind == "with-four":
+        return SymGroup(draw(st.integers(0, 1)), (2,) * k + (4,))
+    return SymGroup(int(kind == "free-and-three"), (3,) * k)
+
+
+def generator_orders(g):
+    """Order of each canonical generator, 0 for a free one."""
+    return (0,) * g.free_rank + g.torsion
+
+
+def fitted_entry(x, d, e):
+    """x, scaled to the least multiple a generator of order d may send to x
+    times one of order e; 0 stands for a free generator."""
+    if d == 0:
+        return x
+    return 0 if e == 0 else x * (e // math.gcd(e, d))
+
+
+@st.composite
+def drawn_maps(draw, a, b, shape, columns=None):
+    """A map a -> b with entries drawn from {0, +-1, +-2, +-3} and fitted to
+    the generator orders, or with its columns drawn from ``columns``.
+    ``shape`` is one of MAP_SHAPES. One map in ten is declared with
+    divisible_behavior="zero"."""
+    cell = st.sampled_from((0, 1, -1, 2, -2, 3, -3))
+    cols = []
+    for d in generator_orders(a):
+        if columns is None:
+            col = [fitted_entry(draw(cell), d, e) for e in generator_orders(b)]
+        else:
+            col = draw(columns(d))
+        if shape == "zero" or (shape == "zero-columns" and draw(st.booleans())):
+            col = [0] * b.ngens
+        cols.append(col)
+    behavior = draw(st.sampled_from(("absent",) * 9 + ("zero",)))
+    return GroupMap(a, b, tuple(tuple(col[i] for col in cols) for i in range(b.ngens)),
+                    divisible_behavior=behavior)
+
+
+def cycle_columns(g):
+    """For an f that composes to zero with g: each column is a combination
+    of cycles of g, scaled so that its order divides the order of the
+    domain generator it is the image of."""
+    b, c = g.domain, g.codomain
+    relc = relation_rows(c)
+    stacked = tuple(g.matrix[i] + tuple(r[i] for r in relc) for i in range(c.ngens))
+    cycles = [vec[:b.ngens] for vec in nullspace(stacked, c.ngens, b.ngens + len(relc))]
+
+    @st.composite
+    def column(draw, d):
+        x = [0] * b.ngens
+        for vec in cycles:
+            t = draw(st.sampled_from((0, 1, -1, 2, -2, 3, -3)))
+            x = [xi + t * vi for xi, vi in zip(x, vec)]
+        if d == 0:
+            return x
+        if any(x[:b.free_rank]):
+            return [0] * b.ngens  # infinite order
+        order = math.lcm(1, *(e // math.gcd(e, xi)
+                              for e, xi in zip(b.torsion, x[b.free_rank:])))
+        return [xi * (order // math.gcd(order, d)) for xi in x]
+
+    return column
+
+
+def homology_outcome(route, f, g):
+    try:
+        return render(route(f, g))
+    except (ValueError, ShapeMismatch, UnsupportedDivisibleMap) as exc:
+        return type(exc)
+
+
+# "complex" builds f inside the cycles of g, "independent" draws both maps
+# freely (mostly a nonzero composite), "mismatch" gives g another domain
+PAIR_MODES = ("complex", "complex", "independent", "independent", "mismatch")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_homology_at_matches_reference(data):
+    draw = data.draw
+    a, b, c = draw(homology_groups(odd=True)), draw(homology_groups()), draw(homology_groups())
+    f_shape, g_shape = draw(st.sampled_from(SHAPE_PAIRS))
+    mode = draw(st.sampled_from(PAIR_MODES))
+    g = None
+    if g_shape != "none":
+        g = draw(drawn_maps(draw(homology_groups()) if mode == "mismatch" else b, c, g_shape))
+    f = None
+    if f_shape != "none":
+        columns = cycle_columns(g) if mode == "complex" and g is not None else None
+        f = draw(drawn_maps(a, b, f_shape, columns))
+    want = homology_outcome(reference_homology_at, f, g)
+    assert homology_outcome(homology_at, f, g) == want
+    if f is None:
+        assert homology_outcome(lambda _, m: kernel(m), f, g) == want
+    if g is None:
+        assert homology_outcome(lambda m, _: cokernel(m), f, g) == want
 
 
 @settings(max_examples=50)

@@ -8,6 +8,8 @@ import json
 
 import pytest
 
+import sample_spaces
+from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get
 from wittkit.errors import DegreeOutOfRange, InconsistentDescriptor
 from wittkit.groups import (
     TRIVIAL,
@@ -199,6 +201,36 @@ def test_s1_default_is_restricted_composite():
     enr = enriques_surface()
     assert enr.s1 == ((0,) * 11,)
     assert sq2z_on_pic(enr) == enr.s1
+
+
+def test_s1_must_match_sq2_when_pic_is_onto():
+    # rho = b2: s1 is Sq2 on H^2(Z)/2, so a supplied s1 may not contradict it
+    with pytest.raises(InconsistentDescriptor, match="s1"):
+        make_surface(True, (Z, TRIVIAL, Z, TRIVIAL, Z), 0, 1, 1, ((1,),), ((1,),),
+                     s1=((0,),))
+    with pytest.raises(InconsistentDescriptor, match="s1"):
+        make_surface(True, (Z, TRIVIAL, free(2), TRIVIAL, Z), 0, 2, 1, ((0, 1),),
+                     ((1, 0), (0, 1)), s1=((1, 1),))
+    assert make_surface(True, (Z, TRIVIAL, Z, TRIVIAL, Z), 0, 1, 1, ((1,),), ((1,),),
+                        s1=((3,),)) == p2_surface()
+    # below b2 the supplied s1 is the only source and is kept as given
+    below = make_surface(True, (Z, TRIVIAL, free(2), TRIVIAL, Z), 0, 1, 1, ((1, 1),),
+                         ((1, 0), (0, 1)), s1=((0,),))
+    assert below.s1 == ((0,),)
+
+
+def test_known_surfaces_load_with_their_s1():
+    # the loader's s1 check refuses none of the surfaces the package knows
+    names = (["p2", "blowup_p2", "enriques"]
+             + ["k3?rho=%d" % r for r in range(MAX_K3_RHO + 1)]
+             + ["ruled?g=%d" % g for g in range(MAX_GENUS + 1)])
+    spaces = [catalog_get(name).descriptor for name in names]
+    spaces += [sample_spaces.p2_surface(), sample_spaces.blowup_p2_surface(),
+               sample_spaces.enriques_surface(), sample_spaces.abelian_like_surface()]
+    spaces += [sample_spaces.k3_surface(r) for r in range(MAX_K3_RHO + 1)]
+    spaces += [sample_spaces.ruled_surface(g) for g in range(MAX_GENUS + 1)]
+    for space in spaces:
+        assert descriptor_from_json(descriptor_to_json(space)) == space, space
 
 
 # ---------------------------------------------------------------------------

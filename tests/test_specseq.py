@@ -12,7 +12,6 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
-from wittkit import groups as groups_module
 from wittkit.catalog import catalog_get
 from wittkit.errors import MalformedPage, UnsupportedDivisibleMap
 from wittkit.groups import (
@@ -399,29 +398,26 @@ def test_dump_format():
 
 
 # Smith normal forms per engine run, counted at groups._smith: the builders'
-# zero differentials cost none, so only the nonzero d2's are eliminated.
+# zero differentials cost none, and on these surfaces every other d2 runs
+# between elementary 2-groups (read off F2 ranks) or is a kernel from a free
+# group into a finite one, so no engine run eliminates at all.
 ELIMINATIONS_ENGINES = (
-    ("enriques", (0, 8, 0)),
+    ("enriques", (0, 0, 0)),
     ("k3?rho=10", (0, 0, 0)),
-    ("ruled?g=2", (4, 16, 0)),
+    ("ruled?g=2", (0, 0, 0)),
+    ("p2", (0, 0, 0)),
+    ("blowup_p2", (0, 0, 0)),
+    ("ruled?g=7", (0, 0, 0)),
 )
 
 
 @pytest.mark.parametrize("name, most", ELIMINATIONS_ENGINES,
                          ids=[row[0] for row in ELIMINATIONS_ENGINES])
-def test_engine_elimination_count_does_not_grow(monkeypatch, name, most):
-    calls = []
-    core = groups_module._smith
-
-    def counted(*args):
-        calls.append(None)
-        return core(*args)
-
-    monkeypatch.setattr(groups_module, "_smith", counted)
+def test_engine_elimination_count_does_not_grow(eliminations, name, most):
     space = catalog_get(name).descriptor
     counts = []
     for engine in (pardon_stable, ahss_ko, ahss_k):
-        calls.clear()
+        eliminations.clear()
         engine(space)
-        counts.append(len(calls))
+        counts.append(len(eliminations))
     assert all(n <= m for n, m in zip(counts, most)), (name, counts)
