@@ -1,10 +1,11 @@
 """Shiftwise comparison of algebraic Witt groups with topological KO/K.
 
 Curves compare isomorphically at every shift and twist. Surfaces compare
-through the Picard map: surjectivity onto H^2(Z) is exactly what makes the
-shift-0 columns agree, and a rank defect there is detected and measured. The
-maps themselves are not modeled; "iso" means canonical-form equality of the
-two independently computed groups.
+through the Picard map: on a projective surface, surjectivity onto H^2(Z) is
+exactly what makes every shift agree, and a rank defect shows at shift 0,
+where it is measured; both directions are checked. The maps themselves are
+not modeled; "iso" means canonical-form equality of the two independently
+computed groups.
 """
 
 from __future__ import annotations
@@ -75,8 +76,6 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
     onto = pic_surjective(space)
     if space.kind != "surface":
         verdict = CURVE_ALWAYS_ISO
-        if not (mismatch is None):
-            raise InvariantViolation("%s compares non-isomorphically" % space)
     elif mismatch is None:
         verdict = SURFACE_ISO
     else:
@@ -85,6 +84,10 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
         # necessity direction: a Picard rank defect must surface at shift 0
         if not (mismatch is not None and mismatch[0] == 0):
             raise InvariantViolation("%s: Picard defect missed at shift 0" % space)
+    elif mismatch is not None and (space.kind != "surface" or space.projective):
+        # sufficiency direction: curves always agree, and with rho = b2 the
+        # loader fixes s1 = Sq2 and ch2 = rank H^4/2 on a projective surface
+        raise InvariantViolation("%s compares non-isomorphically" % space)
     return ComparisonReport(
         kind=space.kind,
         twist=tw,

@@ -5,12 +5,13 @@ divisible 2-torsion rank) so that equality is structural. Maps between the
 finitely generated parts are integer matrices on the canonical generators,
 and kernels, cokernels and homology are computed through Smith normal form.
 All three are ``homology_at``, with ``None`` for the missing map. Between
-elementary 2-groups it reads F2 ranks, and a free middle group with nothing
-divided out and a finite target is its own cycle group; neither costs an
-elimination. Otherwise it reads the column transform V (through
-``nullspace``) and then invariant factors alone; a zero outgoing map and
-zero image columns cost no elimination. The cokernel projection of
-``cokernel_map`` reads only the row transform U.
+elementary 2-groups it reads F2 ranks, a free middle group with nothing
+divided out and a finite target is its own cycle group, and a middle group
+Z is read off two integers; none of these costs an elimination. Otherwise
+it reads the column transform V (through ``nullspace``) and then invariant
+factors alone; a zero outgoing map and zero image columns cost no
+elimination. The cokernel projection of ``cokernel_map`` reads only the row
+transform U.
 
 Matrix convention: a matrix is a tuple of row tuples of exact ints. An
 m-by-0 matrix is ``((),) * m`` and a 0-by-n matrix is ``()``; functions that
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     InvariantViolation,
@@ -610,9 +611,12 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     g's target (if g is given) are elementary 2-groups: the answer is
     (Z/2)^(n - r_f - r_g) with F2 ranks, 0 for a missing map. Nor when f is
     missing or zero, the middle group is free and g's target finite: the
-    cycles have finite index in Z^n, so they are Z^n. Otherwise zero image
-    columns add no relation, and a zero g makes every element a cycle, so it
-    costs no nullspace.
+    cycles have finite index in Z^n, so they are Z^n. Nor when the middle
+    group is Z: the cycles are mZ for the order m of g(1) (1 when g is
+    missing) and the boundaries dZ for the gcd d of f's row (0 when f is
+    missing), so the answer is 0 when m is infinite and Z/(d/m) otherwise.
+    Otherwise zero image columns add no relation, and a zero g makes every
+    element a cycle, so it costs no nullspace.
     """
     for m in (f, g):
         if m is not None:
@@ -625,6 +629,12 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     if is_elementary_two(b) and is_elementary_two(c):
         return elementary_two(
             n - sum(f2_rank(m.matrix) for m in (f, g) if m is not None))
+    if b == Z:
+        col = () if g is None else tuple(row[0] for row in g.matrix)
+        if any(col[:c.free_rank]):
+            return TRIVIAL
+        m = lcm(*(e // gcd(e, x) for e, x in zip(c.torsion, col[c.free_rank:])))
+        return cyclic((0 if f is None else gcd(*f.matrix[0])) // m)
     images = () if f is None else tuple(
         col for col in transpose(f.matrix, f.domain.ngens) if any(col))
     if not images and not b.torsion and c.free_rank == 0:

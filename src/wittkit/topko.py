@@ -2,10 +2,11 @@
 
 KO of a curve is the eight-periodic table (projective case) or the
 wedge-of-circles model (affine case, where the free cohomology leaves no
-extension ambiguity). KO/K quotients are assembled as direct sums of their
-graded pieces; realification followed by complexification is multiplication
-by 2, so every quotient has exponent two. Odd KO totals of surfaces are
-never emitted: the quotient formulas do not need them.
+extension ambiguity). KO/K quotients of surfaces are direct sums of their
+graded pieces, those of curves counts of Z/2; realification followed by
+complexification is multiplication by 2, so every quotient has exponent
+two. Odd KO totals of surfaces are never emitted: the quotient formulas do
+not need them.
 """
 
 from __future__ import annotations
@@ -108,13 +109,9 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
     if space.kind == "point":
         g = _KOK_POINT[i]
     elif space.kind == "curve":
-        h1 = _h(space, 1, MOD2)
-        if tw == ODD_TWIST:
-            g = h1 if i == 0 else TRIVIAL
-        elif space.projective:
-            g = (direct_sum(Z2, h1), Z2, TRIVIAL, TRIVIAL)[i]
-        else:
-            g = direct_sum(Z2, h1) if i == 0 else TRIVIAL
+        # KO^2i/K as a number of Z/2 summands for i = 0..3
+        b1, deg = _h(space, 1, MOD2).ngens, _h(space, 2, MOD2).ngens
+        g = elementary_two(((b1, 0, 0, 0) if tw == ODD_TWIST else (1 + b1, deg, 0, 0))[i])
     else:
         g = _kok_surface(space, i)
     return exponent_two(g)

@@ -103,35 +103,24 @@ def w_point(i: int) -> SymGroup:
 def gw_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     require_kind(space, "curve")
     tw = check_twist(space, twist)
-    i %= 4
-    if i == 2:
-        return Z
-    jac = divisible(picard(space).divisible_rank)
+    b1, deg = etale_h(space, 1).ngens, etale_h(space, 2).ngens
+    jac = picard(space).divisible_rank
+    # GW^i as (free rank, number of Z/2, divisible rank); deg is 1 iff projective
     if tw == ODD_TWIST:
-        return direct_sum(Z, etale_h(space, 1) if i == 0 else jac)
-    deg = Z if space.projective else TRIVIAL
-    if i == 0:
-        # etale H^2 is Z/2 when projective, 0 when affine
-        return direct_sum_all([Z, etale_h(space, 1), etale_h(space, 2)])
-    if i == 1:
-        return direct_sum(deg, jac)
-    return direct_sum_all([Z2, deg, jac])
+        table = ((1, b1, 0), (1, 0, jac), (1, 0, 0), (1, 0, jac))
+    else:
+        table = ((1, b1 + deg, 0), (deg, 0, jac), (1, 0, 0), (deg, 1, jac))
+    free_rank, twos, div = table[i % 4]
+    return SymGroup(free_rank, (2,) * twos, div)
 
 
 def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     require_kind(space, "curve")
     tw = check_twist(space, twist)
-    h1 = etale_h(space, 1)
-    i %= 4
-    if tw == ODD_TWIST:
-        g = h1 if i == 0 else TRIVIAL
-    elif i == 0:
-        g = direct_sum(Z2, h1)
-    elif i == 1:
-        g = etale_h(space, 2)
-    else:
-        g = TRIVIAL
-    return exponent_two(g)
+    b1, deg = etale_h(space, 1).ngens, etale_h(space, 2).ngens
+    # W^i as a number of Z/2 summands for i = 0..3
+    twos = (b1, 0, 0, 0) if tw == ODD_TWIST else (1 + b1, deg, 0, 0)
+    return exponent_two(elementary_two(twos[i % 4]))
 
 
 def gw_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:

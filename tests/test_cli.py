@@ -4,7 +4,8 @@ Everything runs in-process through ``run`` so exit codes and output are
 captured exactly. Two subprocess tests run the ``[project.scripts]`` entry
 point of ``pyproject.toml`` in a fresh interpreter, through the same small
 wrapper that pip installs as the ``wittkit`` script, and check that it
-gives the same exit code and stdout bytes as ``run``.
+gives the same exit code and stdout bytes as ``run``. One more runs every
+command on genus-1000 curve files in a fresh interpreter under a timeout.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,8 +26,9 @@ from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.cli import main, run
 from wittkit.compare import compare_w_kok, report_to_json
 from wittkit.groups import elementary_two, render
-from wittkit.spaces import descriptor_to_json
-from wittkit.witt import w_surface
+from wittkit.spaces import descriptor_to_json, make_curve
+from wittkit.topko import ko_table
+from wittkit.witt import w_surface, witt_table
 
 
 def go(*argv):
@@ -430,6 +433,69 @@ def test_oversized_curve_files_exit_one_with_signal(tmp_path, fields):
         code, out, err = go(*argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error [inconsistent-descriptor]: "), err
+
+
+# Curves at the MAX_CURVE_RANK edge: 2g + n = 2000 and 2048
+EDGE_CURVES = (
+    ("projective", {"projective": True, "genus": 1000, "punctures": 0}),
+    ("affine", {"projective": False, "genus": 1000, "punctures": 48}),
+)
+
+
+def edge_curve_argvs(tmp_path):
+    argvs = []
+    for name, fields in EDGE_CURVES:
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(dict(kind="curve", **fields)))
+        # an affine curve has no O(p) twist class
+        twists = ((), ("--twist", "O(p)")) if fields["projective"] else ((),)
+        for twist in twists:
+            argvs += [["compute", "--space", str(path), "--theory", theory, *twist]
+                      for theory in ("witt", "gw", "w", "ko", "kok", "k")]
+            argvs.append(["compare", "--space", str(path), *twist])
+    return argvs
+
+
+def test_genus_1000_curves_go_through_the_cli(tmp_path):
+    # one fresh interpreter runs every command, so a table that is cubic in
+    # the genus ends in a timeout instead of a hang
+    argvs = edge_curve_argvs(tmp_path)
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from wittkit.cli import run\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = run(argv)\n"
+        "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+    )
+    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs) == 21
+    for argv, result in zip(argvs, results):
+        assert result[0] == 0, (argv, result[2])
+        assert result == go(*argv), argv
+    w_row = json.loads(results[2][1])
+    assert w_row == [render(elementary_two(2001)), "Z/2", "0", "0"]
+    assert json.loads(results[6][1])["verdict"] == "curve-always-iso"
+
+
+def timed(call, *args):
+    start = time.perf_counter()
+    call(*args)
+    return time.perf_counter() - start
+
+
+def test_genus_1000_curve_tables_are_fast():
+    for space in (make_curve(True, 1000), make_curve(False, 1000, 48)):
+        for table in (witt_table, ko_table, compare_w_kok):
+            best = min(timed(table, space) for _ in range(3))
+            assert best < 0.1, (table.__name__, str(space), best)
 
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -20,6 +20,7 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
+from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get
 from wittkit.compare import (
     CURVE_ALWAYS_ISO,
     SURFACE_ISO,
@@ -101,6 +102,24 @@ def test_surfaces_with_onto_picard_are_iso(space):
     assert report.pic_surjective
     assert report.mismatch is None
     assert all(r.iso for r in report.rows)
+
+
+def test_every_known_picard_surjective_surface_is_iso():
+    # the sufficiency check in compare_w_kok refuses none of them
+    names = (["p2", "blowup_p2", "enriques"]
+             + ["k3?rho=%d" % r for r in range(MAX_K3_RHO + 1)]
+             + ["ruled?g=%d" % g for g in range(MAX_GENUS + 1)])
+    spaces = [catalog_get(name).descriptor for name in names]
+    spaces += [p2_surface(), blowup_p2_surface(), enriques_surface(),
+               abelian_like_surface()]
+    spaces += [k3_surface(r) for r in range(MAX_K3_RHO + 1)]
+    spaces += [ruled_surface(g) for g in range(MAX_GENUS + 1)]
+    onto = [space for space in spaces if pic_surjective(space)]
+    assert len(onto) == 24
+    for space in onto:
+        report = compare_w_kok(space)
+        assert (report.verdict, report.mismatch) == (SURFACE_ISO, None), space
+        assert all(r.iso for r in report.rows)
 
 
 def test_enriques_rows():
@@ -249,6 +268,7 @@ def test_cross_checks_raise_under_python_O():
         "    forced(T, 'w', lambda s, i: Z, lambda: T.ql_hermitian_verdict(make_point())),\n"
         "    forced(C, 'w', lambda s, i, tw: Z, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
         "    forced(C, 'pic_surjective', lambda s: False, lambda: C.compare_w_kok(p2)),\n"
+        "    forced(C, 'kok', lambda s, i, tw: Z, lambda: C.compare_w_kok(p2)),\n"
         "])\n"
     )
     root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
@@ -257,4 +277,4 @@ def test_cross_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", child], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1" + " invariant-violation" * 5 + "\n"
+    assert proc.stdout == "1" + " invariant-violation" * 6 + "\n"

@@ -1,0 +1,139 @@
+"""The curve tables read off summand counts, against the direct-sum assembly
+they replaced.
+
+``reference_gw_curve``, ``reference_w_curve`` and ``reference_kok`` are the
+functions as they stood when every curve group was assembled with
+``direct_sum``, copied verbatim (only renamed). The count rows must give the
+same render, or raise the same exception, for every curve, shift and twist,
+and so must the reduced groups derived from them.
+"""
+
+from wittkit.errors import DegreeOutOfRange, WittkitError
+from wittkit.groups import (
+    TRIVIAL,
+    Z,
+    Z2,
+    SymGroup,
+    direct_sum,
+    direct_sum_all,
+    divisible,
+    exponent_two,
+    render,
+)
+from wittkit.spaces import MOD2, SpaceDescriptor, etale_h, make_curve, picard, require_kind
+from wittkit.topko import _KOK_POINT, _h, _kok_surface, kok, kok_reduced
+from wittkit.witt import (
+    ODD_TWIST,
+    TRIVIAL_TWIST,
+    cancel_point,
+    check_twist,
+    gw_curve,
+    gw_curve_reduced,
+    gw_point,
+    w_curve,
+    w_point,
+    w_reduced,
+)
+
+
+def reference_gw_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    require_kind(space, "curve")
+    tw = check_twist(space, twist)
+    i %= 4
+    if i == 2:
+        return Z
+    jac = divisible(picard(space).divisible_rank)
+    if tw == ODD_TWIST:
+        return direct_sum(Z, etale_h(space, 1) if i == 0 else jac)
+    deg = Z if space.projective else TRIVIAL
+    if i == 0:
+        # etale H^2 is Z/2 when projective, 0 when affine
+        return direct_sum_all([Z, etale_h(space, 1), etale_h(space, 2)])
+    if i == 1:
+        return direct_sum(deg, jac)
+    return direct_sum_all([Z2, deg, jac])
+
+
+def reference_w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    require_kind(space, "curve")
+    tw = check_twist(space, twist)
+    h1 = etale_h(space, 1)
+    i %= 4
+    if tw == ODD_TWIST:
+        g = h1 if i == 0 else TRIVIAL
+    elif i == 0:
+        g = direct_sum(Z2, h1)
+    elif i == 1:
+        g = etale_h(space, 2)
+    else:
+        g = TRIVIAL
+    return exponent_two(g)
+
+
+def reference_kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    """KO^shift/K of the space, shift even, eight-periodic."""
+    if shift % 2:
+        raise DegreeOutOfRange("KO/K quotients live in even shifts only")
+    tw = check_twist(space, twist)
+    i = (shift % 8) // 2
+    if space.kind == "point":
+        g = _KOK_POINT[i]
+    elif space.kind == "curve":
+        h1 = _h(space, 1, MOD2)
+        if tw == ODD_TWIST:
+            g = h1 if i == 0 else TRIVIAL
+        elif space.projective:
+            g = (direct_sum(Z2, h1), Z2, TRIVIAL, TRIVIAL)[i]
+        else:
+            g = direct_sum(Z2, h1) if i == 0 else TRIVIAL
+    else:
+        g = _kok_surface(space, i)
+    return exponent_two(g)
+
+
+def outcome(call):
+    try:
+        return render(call())
+    except WittkitError as exc:
+        return type(exc)
+
+
+def at_even(fn):
+    """fn(space, shift, twist) read at shift 2i, as the i-th KO/K entry."""
+    return lambda space, i, tw: fn(space, 2 * i, tw)
+
+
+# (name, total, reduced, reference total, point group), all taking
+# (space, i, twist); the reduced reference cancels the point group from the
+# reference total by the rule the package uses
+ROWS = (
+    ("gw", gw_curve, gw_curve_reduced, reference_gw_curve, gw_point),
+    ("w", w_curve, w_reduced, reference_w_curve, w_point),
+    ("kok", at_even(kok), at_even(kok_reduced), at_even(reference_kok),
+     lambda i: _KOK_POINT[i]),
+)
+
+
+def assert_rows_match(curves):
+    for space in curves:
+        for tw in (TRIVIAL_TWIST, ODD_TWIST):
+            for i in range(4):
+                for name, total, red, reference, point in ROWS:
+                    try:
+                        ref = reference(space, i, tw)
+                    except WittkitError as exc:
+                        want = want_red = type(exc)
+                    else:
+                        want = render(ref)
+                        want_red = outcome(lambda: cancel_point(ref, point(i), tw))
+                    where = (name, str(space), tw, i)
+                    assert outcome(lambda: total(space, i, tw)) == want, where
+                    assert outcome(lambda: red(space, i, tw)) == want_red, where
+
+
+def test_projective_curve_rows_match_direct_sum_assembly():
+    assert_rows_match(make_curve(True, g) for g in range(41))
+
+
+def test_affine_curve_rows_match_direct_sum_assembly():
+    assert_rows_match(make_curve(False, g, n) for g in range(13) for n in range(1, 7))

@@ -1032,9 +1032,28 @@ def homology_outcome(route, f, g):
         return type(exc)
 
 
+def mostly_finite_columns(c):
+    """Columns into c whose free coordinates are zero three times in four,
+    so that they often have finite order in a target with a free part."""
+    cell = st.sampled_from((0, 1, -1, 2, -2, 3, -3))
+
+    @st.composite
+    def column(draw, d):
+        finite = draw(st.integers(0, 3)) > 0
+        return [0 if finite else draw(cell) for _ in range(c.free_rank)] + [
+            fitted_entry(draw(cell), d, e) for e in c.torsion]
+
+    return column
+
+
 # "complex" builds f inside the cycles of g, "independent" draws both maps
-# freely (mostly a nonzero composite), "mismatch" gives g another domain
-PAIR_MODES = ("complex", "complex", "independent", "independent", "mismatch")
+# freely (mostly a nonzero composite), "mismatch" gives g another domain,
+# and "z-middle" is a complex at the middle group Z with g's target both
+# free and torsion, read off two integers
+PAIR_MODES = ("complex", "complex", "independent", "independent", "mismatch",
+              "z-middle")
+MIXED_TARGETS = (SymGroup(1, (2,)), SymGroup(1, (2, 4)), SymGroup(2, (3, 3)),
+                 SymGroup(1, (6,)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1044,13 +1063,18 @@ def test_homology_at_matches_reference(data):
     a, b, c = draw(homology_groups(odd=True)), draw(homology_groups()), draw(homology_groups())
     f_shape, g_shape = draw(st.sampled_from(SHAPE_PAIRS))
     mode = draw(st.sampled_from(PAIR_MODES))
+    g_columns = None
+    if mode == "z-middle":
+        a, b, c = free(draw(st.integers(1, 3))), Z, draw(st.sampled_from(MIXED_TARGETS))
+        g_columns = mostly_finite_columns(c)
     g = None
     if g_shape != "none":
-        g = draw(drawn_maps(draw(homology_groups()) if mode == "mismatch" else b, c, g_shape))
+        g_domain = draw(homology_groups()) if mode == "mismatch" else b
+        g = draw(drawn_maps(g_domain, c, g_shape, g_columns))
     f = None
     if f_shape != "none":
-        columns = cycle_columns(g) if mode == "complex" and g is not None else None
-        f = draw(drawn_maps(a, b, f_shape, columns))
+        complex_ = mode in ("complex", "z-middle") and g is not None
+        f = draw(drawn_maps(a, b, f_shape, cycle_columns(g) if complex_ else None))
     want = homology_outcome(reference_homology_at, f, g)
     assert homology_outcome(homology_at, f, g) == want
     if f is None:

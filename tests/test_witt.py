@@ -568,14 +568,17 @@ def test_ring_parse_render():
 # Smith normal forms per call on a genus-20 projective curve, counted at
 # groups._smith, the one elimination core. These are the counts once the
 # duplicate tables were derived from one another, zero maps stopped costing
-# an elimination and maps between elementary 2-groups were read off F2
-# ranks; a change that adds eliminations must lower them or say why.
+# an elimination, maps between elementary 2-groups were read off F2 ranks,
+# the curve tables were built from summand counts and homology at a middle
+# group Z was read off two integers; a change that adds eliminations must
+# lower them or say why.
 ELIMINATIONS_GENUS_20 = (
-    ("witt_table", lambda c: witt_table(c), 8),
-    ("witt_table O(p)", lambda c: witt_table(c, "O(p)"), 3),
-    ("ko_table", lambda c: ko_table(c), 4),
-    ("karoubi_check", lambda c: karoubi_check(c), 40),
-    ("compare_w_kok", lambda c: compare_w_kok(c), 5),
+    ("witt_table", lambda c: witt_table(c), 0),
+    ("witt_table O(p)", lambda c: witt_table(c, "O(p)"), 0),
+    ("ko_table", lambda c: ko_table(c), 0),
+    ("karoubi_check", lambda c: karoubi_check(c), 18),
+    ("karoubi_check O(p)", lambda c: karoubi_check(c, "O(p)"), 35),
+    ("compare_w_kok", lambda c: compare_w_kok(c), 0),
 )
 
 
@@ -583,4 +586,7 @@ ELIMINATIONS_GENUS_20 = (
                          ids=[row[0] for row in ELIMINATIONS_GENUS_20])
 def test_elimination_count_does_not_grow(eliminations, name, call, most):
     call(make_curve(True, 20))
-    assert 0 < len(eliminations) <= most, (name, len(eliminations))
+    # a row with a positive bound must count at least one elimination, so a
+    # counter that sees none fails instead of passing every row
+    floor = 1 if most else 0
+    assert floor <= len(eliminations) <= most, (name, len(eliminations))
