@@ -1,21 +1,26 @@
 """Exact arithmetic for finitely generated abelian groups with divisible atoms.
 
 Groups are kept in a canonical form (free rank, invariant-factor chain,
-divisible 2-torsion rank) so that equality is structural. Maps between the
-finitely generated parts are integer matrices on the canonical generators,
-and kernels, cokernels and homology are computed through Smith normal form.
-All three are ``homology_at``, with ``None`` for the missing map. Between
-elementary 2-groups it reads F2 ranks, a free middle group with nothing
-divided out and a finite target is its own cycle group, and a middle group
-Z is read off two integers; none of these costs an elimination. Otherwise
-it reads the column transform V (through ``nullspace``) and then invariant
-factors alone; a zero outgoing map and zero image columns cost no
-elimination. The cokernel projection of ``cokernel_map`` reads only the row
-transform U.
+divisible 2-torsion rank) so that equality is structural. ``_chain`` is the
+one route from a list of cyclic orders to that chain: ``direct_sum``,
+``direct_sum_all`` and ``parse_group`` hand it every order at once, and it
+runs one ``snf_diagonal`` of the diagonal presentation, none for fewer than
+two orders. Maps between the finitely generated parts are integer matrices
+on the canonical generators, and kernels, cokernels and homology are
+computed through Smith normal form. All three are ``homology_at``, with
+``None`` for the missing map. Between elementary 2-groups it reads F2
+ranks, a free middle group with nothing divided out and a finite target is
+its own cycle group, and a middle group Z is read off two integers; none of
+these costs an elimination. Otherwise it reads the column transform V
+(through ``nullspace``) and then invariant factors alone; a zero outgoing
+map and zero image columns cost no elimination. The cokernel projection of
+``cokernel_map`` reads only the row transform U.
 
-Matrix convention: a matrix is a tuple of row tuples of exact ints. An
-m-by-0 matrix is ``((),) * m`` and a 0-by-n matrix is ``()``; functions that
-cannot infer a dimension from the data take it explicitly.
+Matrix convention: a matrix is a tuple of row tuples of exact ints, and
+``GroupMap`` refuses any other entry, as ``SymGroup`` refuses a rank or an
+invariant factor that is not an int. An m-by-0 matrix is ``((),) * m`` and
+a 0-by-n matrix is ``()``; functions that cannot infer a dimension from the
+data take it explicitly.
 """
 
 from __future__ import annotations
@@ -171,8 +176,9 @@ def snf(m, rows: int | None = None, cols: int | None = None):
     The pivot at each step is the first entry of smallest nonzero absolute
     value of the trailing block in row-major order; the search stops at the
     first unit. Internal callers run the same elimination without the
-    transforms they do not read: ``snf_diagonal`` (presentations,
-    ``direct_sum``) tracks neither, ``nullspace`` tracks only V
+    transforms they do not read: ``snf_diagonal`` (presentations, and
+    ``_chain`` behind every direct sum and parsed group) tracks neither,
+    ``nullspace`` tracks only V
     (``homology_at``, behind ``kernel`` and ``cokernel``, calls both of
     these), and ``cokernel_map``, also behind the lattice test of ``witt``,
     tracks only U.
@@ -251,10 +257,12 @@ class SymGroup:
     divisible_rank: int = 0
 
     def __post_init__(self):
+        tor = tuple(self.torsion)
+        object.__setattr__(self, "torsion", tor)
+        if not all(isinstance(x, int) for x in (self.free_rank, self.divisible_rank) + tor):
+            raise ValueError("SymGroup ranks and invariant factors must be ints")
         if self.free_rank < 0 or self.divisible_rank < 0:
             raise ValueError("negative rank in SymGroup")
-        tor = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", tor)
         for d in tor:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2, got %r" % (d,))
@@ -293,6 +301,9 @@ def free(rank: int) -> SymGroup:
 
 
 def cyclic(n: int) -> SymGroup:
+    """Z/n, with Z/1 = 0 and Z/0 = Z; a negative order is refused."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("cyclic order must be an int >= 0, got %r" % (n,))
     return SymGroup(torsion=(n,)) if n >= 2 else (TRIVIAL if n == 1 else Z)
 
 
@@ -321,25 +332,23 @@ def group_from_presentation(relations, generators: int) -> SymGroup:
     return SymGroup(generators - nonzero, torsion, 0)
 
 
-def direct_sum(a: SymGroup, b: SymGroup) -> SymGroup:
-    factors = a.torsion + b.torsion
+def _chain(factors) -> tuple:
+    """Invariant factors of the sum of Z/d, d >= 2: one elimination, none below two."""
     n = len(factors)
-    rel = tuple(
-        tuple(factors[i] if j == i else 0 for j in range(n)) for i in range(n)
-    )
-    merged = group_from_presentation(rel, n)
-    return SymGroup(
-        a.free_rank + b.free_rank + merged.free_rank,
-        merged.torsion,
-        a.divisible_rank + b.divisible_rank,
-    )
+    if n < 2:
+        return tuple(factors)
+    rel = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(factors)]
+    return tuple(d for d in snf_diagonal(rel, n, n) if d >= 2)
+
+
+def direct_sum(a: SymGroup, b: SymGroup) -> SymGroup:
+    return direct_sum_all((a, b))
 
 
 def direct_sum_all(groups) -> SymGroup:
-    total = TRIVIAL
-    for g in groups:
-        total = direct_sum(total, g)
-    return total
+    gs = tuple(groups)
+    return SymGroup(sum(g.free_rank for g in gs), _chain([d for g in gs for d in g.torsion]),
+                    sum(g.divisible_rank for g in gs))
 
 
 def cancel(total: SymGroup, summand: SymGroup) -> SymGroup:
@@ -456,8 +465,7 @@ def parse_group(text: str) -> SymGroup:
             raise RenderParseError("cyclic order must be >= 2 in %r" % tok)
         else:
             factors.append(n)
-    base = direct_sum_all(SymGroup(torsion=(n,)) for n in factors)
-    return SymGroup(free_rank, base.torsion, div)
+    return SymGroup(free_rank, _chain(factors), div)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +497,10 @@ class GroupMap:
     def __post_init__(self):
         if self.divisible_behavior not in _BEHAVIORS:
             raise ValueError("unknown divisible_behavior %r" % (self.divisible_behavior,))
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        mat = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
+        if not all(isinstance(x, int) for row in mat for x in row):
+            raise ValueError("GroupMap matrix entries must be ints")
         if len(mat) != self.codomain.ngens or any(
             len(row) != self.domain.ngens for row in mat
         ):

@@ -4,8 +4,9 @@ Everything runs in-process through ``run`` so exit codes and output are
 captured exactly. Two subprocess tests run the ``[project.scripts]`` entry
 point of ``pyproject.toml`` in a fresh interpreter, through the same small
 wrapper that pip installs as the ``wittkit`` script, and check that it
-gives the same exit code and stdout bytes as ``run``. One more runs every
-command on genus-1000 curve files in a fresh interpreter under a timeout.
+gives the same exit code and stdout bytes as ``run``. Two more run every
+command on genus-1000 curve files, and two commands on a surface file with
+long group strings, in a fresh interpreter under a timeout.
 """
 
 import contextlib
@@ -456,10 +457,9 @@ def edge_curve_argvs(tmp_path):
     return argvs
 
 
-def test_genus_1000_curves_go_through_the_cli(tmp_path):
-    # one fresh interpreter runs every command, so a table that is cubic in
-    # the genus ends in a timeout instead of a hang
-    argvs = edge_curve_argvs(tmp_path)
+def run_in_child(argvs, timeout):
+    """[exit code, stdout, stderr] of ``run`` on each argv, all in one fresh
+    interpreter that must finish within ``timeout`` seconds."""
     child = (
         "import contextlib, io, json, sys\n"
         "from wittkit.cli import run\n"
@@ -473,9 +473,16 @@ def test_genus_1000_curves_go_through_the_cli(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    results = [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_genus_1000_curves_go_through_the_cli(tmp_path):
+    # one fresh interpreter runs every command, so a table that is cubic in
+    # the genus ends in a timeout instead of a hang
+    argvs = edge_curve_argvs(tmp_path)
+    results = [tuple(r) for r in run_in_child(argvs, timeout=60)]
     assert len(results) == len(argvs) == 21
     for argv, result in zip(argvs, results):
         assert result[0] == 0, (argv, result[2])
@@ -483,6 +490,34 @@ def test_genus_1000_curves_go_through_the_cli(tmp_path):
     w_row = json.loads(results[2][1])
     assert w_row == [render(elementary_two(2001)), "Z/2", "0", "0"]
     assert json.loads(results[6][1])["verdict"] == "curve-always-iso"
+
+
+# A projective surface whose H^2 and H^3 carry 200 summands Z/3 each. Each
+# group string must cost one elimination, not one per summand, for both
+# commands to finish inside the timeout.
+LONG_TORSION = " + ".join(["Z/3"] * 200)
+LONG_SURFACE = {"kind": "surface", "projective": True,
+                "h_int": ["Z", "0", "Z + " + LONG_TORSION, LONG_TORSION, "Z"],
+                "nu": 0, "rho": 1, "ch2_mod2_rank": 1, "sq2": [[1]], "pi2": [[1]]}
+LONG_SURFACE_OUT = {
+    "w": '["Z/2", "0", "0", "0"]\n',
+    "compare": '{"kind": "surface", "twist": "trivial", "pic_surjective": true, '
+               '"rows": [{"shift": 0, "W": "Z/2", "KOK": "Z/2", "iso": true}, '
+               '{"shift": 1, "W": "0", "KOK": "0", "iso": true}, '
+               '{"shift": 2, "W": "0", "KOK": "0", "iso": true}, '
+               '{"shift": 3, "W": "0", "KOK": "0", "iso": true}], '
+               '"verdict": "surface-iso", "mismatch": null}\n',
+}
+
+
+def test_long_group_strings_go_through_the_cli(tmp_path):
+    path = tmp_path / "long_torsion.json"
+    path.write_text(json.dumps(LONG_SURFACE))
+    argvs = [["compute", "--space", str(path), "--theory", "w"],
+             ["compare", "--space", str(path)]]
+    results = run_in_child(argvs, timeout=10)
+    assert [r[:2] for r in results] == [[0, LONG_SURFACE_OUT["w"]],
+                                        [0, LONG_SURFACE_OUT["compare"]]]
 
 
 def timed(call, *args):

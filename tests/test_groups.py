@@ -5,8 +5,9 @@ fraction-free Bareiss elimination, invariant factors from gcds of minors,
 group structure from brute-force element counting, and F2 ranks from image
 enumeration. The Smith normal form is also checked against a frozen copy of
 its earlier, unoptimised elimination, which must give the same transforms,
-and homology against a frozen copy of its integer-only route, which must
-give the same group.
+homology against a frozen copy of its integer-only route, which must give
+the same group, and direct sums and group parsing against frozen copies of
+their one-elimination-per-summand folds, which must give the same groups.
 """
 
 import itertools
@@ -309,6 +310,63 @@ def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     return group_from_presentation(tuple(vec[:k] for vec in basis), k)
 
 
+# Direct sums and group parsing as they stood before ``_chain``, copied
+# verbatim (only renamed): ``direct_sum`` ran its own presentation,
+# ``direct_sum_all`` folded it, one elimination per summand, and
+# ``parse_group`` folded one cyclic group per token. The invariant factors
+# are unique, so the one-presentation routes must give the same groups.
+_TOK_FREE, _TOK_CYCLIC, _TOK_DIV = groups._TOK_FREE, groups._TOK_CYCLIC, groups._TOK_DIV
+
+
+def reference_direct_sum(a: SymGroup, b: SymGroup) -> SymGroup:
+    factors = a.torsion + b.torsion
+    n = len(factors)
+    rel = tuple(
+        tuple(factors[i] if j == i else 0 for j in range(n)) for i in range(n)
+    )
+    merged = group_from_presentation(rel, n)
+    return SymGroup(
+        a.free_rank + b.free_rank + merged.free_rank,
+        merged.torsion,
+        a.divisible_rank + b.divisible_rank,
+    )
+
+
+def reference_direct_sum_all(groups) -> SymGroup:
+    total = TRIVIAL
+    for g in groups:
+        total = reference_direct_sum(total, g)
+    return total
+
+
+def reference_parse_group(text: str) -> SymGroup:
+    """Parse the rendering grammar; summands may come in any order."""
+    s = text.strip()
+    if s == "0":
+        return TRIVIAL
+    free_rank = 0
+    factors = []
+    div = 0
+    for tok in s.split(" + "):
+        m = _TOK_FREE.match(tok) or _TOK_CYCLIC.match(tok) or _TOK_DIV.match(tok)
+        if not m:
+            raise RenderParseError("bad group token %r in %r" % (tok, text))
+        try:
+            n = int(m.group(1) or 1)
+        except ValueError:  # more digits than the int-conversion limit
+            raise RenderParseError("number too long in %r" % tok[:32]) from None
+        if m.re is _TOK_FREE:
+            free_rank += n
+        elif m.re is _TOK_DIV:
+            div += n
+        elif n < 2:
+            raise RenderParseError("cyclic order must be >= 2 in %r" % tok)
+        else:
+            factors.append(n)
+    base = reference_direct_sum_all(SymGroup(torsion=(n,)) for n in factors)
+    return SymGroup(free_rank, base.torsion, div)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -568,6 +626,32 @@ def test_symgroup_validation():
     with pytest.raises(ValueError):
         SymGroup(0, (2, 3), 0)
     SymGroup(0, (2, 6, 12), 1)  # fine
+    assert SymGroup(0, [2, 4]).torsion == (2, 4)  # a list becomes a tuple
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SymGroup(0, (2.7,)),
+    lambda: SymGroup(0, ("4",)),
+    lambda: SymGroup(0, (4.0,)),
+    lambda: SymGroup(1.5),
+    lambda: SymGroup(0, (), 1.0),
+    lambda: cyclic(-2),
+    lambda: cyclic(-1),
+    lambda: cyclic(2.0),
+    lambda: GroupMap(Z, Z, ((1.9,),)),
+    lambda: GroupMap(Z, Z, (("1",),)),
+], ids=["float-factor", "str-factor", "integral-float-factor", "float-rank",
+        "float-divisible-rank", "cyclic-minus-two", "cyclic-minus-one",
+        "cyclic-float", "float-entry", "str-entry"])
+def test_constructors_refuse_what_is_not_an_int(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_constructors_keep_ints_and_turn_lists_into_tuples():
+    assert cyclic(0) == Z and cyclic(1) == TRIVIAL and cyclic(6) == SymGroup(0, (6,))
+    f = GroupMap(free(2), Z, [[1, -3]])
+    assert f.matrix == ((1, -3),)
 
 
 def test_presentation_frozen_examples():
@@ -618,6 +702,71 @@ def test_direct_sum_crt_oracle(a, b):
 @given(sym_groups(), sym_groups(), sym_groups())
 def test_direct_sum_associative(a, b, c):
     assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+
+
+# Orders for the differential tests of the one-presentation routes: small
+# ones that CRT-recombine, and 2^40, 3^20 and their product, whose
+# eliminations run on big integers.
+SUM_ORDERS = (2, 2, 3, 4, 5, 6, 8, 9, 12, 2 ** 40, 3 ** 20, 2 ** 40 * 3 ** 20)
+
+
+@st.composite
+def summed_groups(draw):
+    """A canonical group with a free part, a divisible part and up to four
+    cyclic summands, built by the reference fold."""
+    orders = draw(st.lists(st.sampled_from(SUM_ORDERS), max_size=4))
+    tor = reference_direct_sum_all(SymGroup(0, (d,)) for d in orders).torsion
+    return SymGroup(draw(st.integers(0, 3)), tor, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(summed_groups(), max_size=6))
+def test_direct_sum_matches_reference(gs):
+    assert direct_sum_all(gs) == reference_direct_sum_all(gs)
+    assert direct_sum_all(iter(gs)) == reference_direct_sum_all(gs)
+    if len(gs) >= 2:
+        assert direct_sum(gs[0], gs[1]) == reference_direct_sum(gs[0], gs[1])
+
+
+summand_tokens = st.one_of(
+    st.sampled_from(SUM_ORDERS).map(lambda d: "Z/%d" % d),
+    st.integers(1, 4).map(lambda r: "Z" if r == 1 else "Z^%d" % r),
+    st.integers(1, 3).map(lambda t: "D(%d)" % t),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 60).flatmap(
+    lambda n: st.lists(summand_tokens, min_size=n, max_size=n)))
+def test_parse_group_matches_reference(tokens):
+    text = " + ".join(tokens) or "0"
+    assert parse_group(text) == reference_parse_group(text)
+
+
+@pytest.mark.parametrize("text, count", [
+    ("0", 0),
+    ("Z^3 + D(2)", 0),
+    ("Z/3", 0),
+    ("Z + Z/%d + D(1)" % 2 ** 40, 0),
+    ("Z/2 + Z/3", 1),
+    ("Z/4 + Z + Z/6 + D(2)", 1),
+    (" + ".join(["Z/3"] * 60), 1),
+    (" + ".join(["Z/2", "Z/3", "Z^2", "Z/4"] * 20), 1),
+], ids=["zero", "free-and-divisible", "one-cyclic", "one-big-cyclic", "two-cyclic",
+        "mixed", "sixty-z3", "eighty-mixed"])
+def test_parse_group_runs_one_elimination_at_most(eliminations, text, count):
+    parse_group(text)
+    assert len(eliminations) == count
+
+
+def test_direct_sum_all_runs_one_elimination_at_most(eliminations):
+    direct_sum_all([cyclic(3)] * 40 + [SymGroup(2, (2, 4), 1)] * 10)
+    assert len(eliminations) == 1
+    eliminations.clear()
+    direct_sum_all([Z, cyclic(5), divisible(2), free(3)])
+    direct_sum(Z2, Z)
+    direct_sum_all([])
+    assert len(eliminations) == 0
 
 
 def test_mod2_two_torsion_frozen():

@@ -219,18 +219,30 @@ def test_s1_must_match_sq2_when_pic_is_onto():
     assert below.s1 == ((0,),)
 
 
+CATALOG_SURFACES = (["p2", "blowup_p2", "enriques"]
+                    + ["k3?rho=%d" % r for r in range(MAX_K3_RHO + 1)]
+                    + ["ruled?g=%d" % g for g in range(MAX_GENUS + 1)])
+
+
 def test_known_surfaces_load_with_their_s1():
     # the loader's s1 check refuses none of the surfaces the package knows
-    names = (["p2", "blowup_p2", "enriques"]
-             + ["k3?rho=%d" % r for r in range(MAX_K3_RHO + 1)]
-             + ["ruled?g=%d" % g for g in range(MAX_GENUS + 1)])
-    spaces = [catalog_get(name).descriptor for name in names]
+    spaces = [catalog_get(name).descriptor for name in CATALOG_SURFACES]
     spaces += [sample_spaces.p2_surface(), sample_spaces.blowup_p2_surface(),
                sample_spaces.enriques_surface(), sample_spaces.abelian_like_surface()]
     spaces += [sample_spaces.k3_surface(r) for r in range(MAX_K3_RHO + 1)]
     spaces += [sample_spaces.ruled_surface(g) for g in range(MAX_GENUS + 1)]
     for space in spaces:
         assert descriptor_from_json(descriptor_to_json(space)) == space, space
+
+
+@pytest.mark.parametrize("name", CATALOG_SURFACES)
+def test_surface_json_round_trip_runs_no_elimination(eliminations, name):
+    # every H^i of a catalog surface has at most one torsion factor, so its
+    # group strings parse without an elimination
+    text = descriptor_to_json(catalog_get(name).descriptor)
+    eliminations.clear()
+    assert descriptor_to_json(descriptor_from_json(text)) == text
+    assert len(eliminations) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from wittkit.errors import (
     TruncationError,
     UnsupportedTwist,
 )
+from wittkit.catalog import catalog_get
 from wittkit.compare import compare_w_kok
 from wittkit.groups import TRIVIAL, Z, Z2, SymGroup, direct_sum, elementary_two, render
 from wittkit.spaces import make_curve, make_point, make_surface
@@ -569,15 +570,17 @@ def test_ring_parse_render():
 # groups._smith, the one elimination core. These are the counts once the
 # duplicate tables were derived from one another, zero maps stopped costing
 # an elimination, maps between elementary 2-groups were read off F2 ranks,
-# the curve tables were built from summand counts and homology at a middle
-# group Z was read off two integers; a change that adds eliminations must
-# lower them or say why.
+# the curve tables were built from summand counts, homology at a middle
+# group Z was read off two integers and direct sums ran one presentation
+# only for two or more torsion factors (karoubi_check's eight direct sums
+# ran one each, and seven of them have at most one torsion factor); a
+# change that adds eliminations must lower them or say why.
 ELIMINATIONS_GENUS_20 = (
     ("witt_table", lambda c: witt_table(c), 0),
     ("witt_table O(p)", lambda c: witt_table(c, "O(p)"), 0),
     ("ko_table", lambda c: ko_table(c), 0),
-    ("karoubi_check", lambda c: karoubi_check(c), 18),
-    ("karoubi_check O(p)", lambda c: karoubi_check(c, "O(p)"), 35),
+    ("karoubi_check", lambda c: karoubi_check(c), 11),
+    ("karoubi_check O(p)", lambda c: karoubi_check(c, "O(p)"), 28),
     ("compare_w_kok", lambda c: compare_w_kok(c), 0),
 )
 
@@ -590,3 +593,27 @@ def test_elimination_count_does_not_grow(eliminations, name, call, most):
     # counter that sees none fails instead of passing every row
     floor = 1 if most else 0
     assert floor <= len(eliminations) <= most, (name, len(eliminations))
+
+
+# Smith normal forms per table on catalog surfaces, counted as above: each is
+# the number of direct sums with two or more torsion factors, one
+# presentation each.
+ELIMINATIONS_SURFACES = (
+    ("k3?rho=10", 2, 1, 4),
+    ("enriques", 2, 2, 4),
+    ("ruled?g=7", 2, 2, 4),
+    ("p2", 0, 0, 0),
+    ("blowup_p2", 0, 0, 0),
+)
+
+
+@pytest.mark.parametrize("name, witt, ko, compare", ELIMINATIONS_SURFACES,
+                         ids=[row[0] for row in ELIMINATIONS_SURFACES])
+def test_surface_elimination_count_does_not_grow(eliminations, name, witt, ko, compare):
+    space = catalog_get(name).descriptor
+    counts = []
+    for table in (witt_table, ko_table, compare_w_kok):
+        eliminations.clear()
+        table(space)
+        counts.append(len(eliminations))
+    assert counts == [witt, ko, compare], name
