@@ -17,7 +17,7 @@ from .catalog import catalog_get, catalog_instances, catalog_list
 from .compare import SURFACE_MISMATCH, compare_w_kok, report_to_json
 from .errors import WittkitError
 from .groups import render
-from .spaces import descriptor_from_json, descriptor_to_json
+from .spaces import MAX_CURVE_RANK, descriptor_from_json, descriptor_to_json
 from .specseq import ahss_k, ahss_ko, pardon_stable
 from .topko import ko_table, topko_json_payload
 from .witt import (
@@ -205,10 +205,12 @@ def _cmd_specseq(args) -> int:
 # sw
 
 
+# builder, parameter, range: P^512 and generic rank 10 build in about 0.1 s
+# (d^2 and exponential growth); curve genus stops where curve descriptors do
 _RING_BUILDERS = {
-    "projective": (projective_space_ring, "d"),
-    "curve": (curve_symplectic_ring, "g"),
-    "generic": (generic_sw_ring, "rank"),
+    "projective": (projective_space_ring, "d", 0, 512),
+    "curve": (curve_symplectic_ring, "g", 0, MAX_CURVE_RANK // 2),
+    "generic": (generic_sw_ring, "rank", 1, 10),
 }
 
 
@@ -217,16 +219,19 @@ def _build_ring(text: str):
     if base not in _RING_BUILDERS:
         raise _UsageError(
             "unknown ring %r; use %s" % (base, ", ".join(sorted(_RING_BUILDERS))))
-    builder, key = _RING_BUILDERS[base]
+    builder, key, lo, hi = _RING_BUILDERS[base]
     if not sep:
         raise _UsageError("ring %r needs ?%s=<int>" % (base, key))
     name, eq, value = query.partition("=")
     if name != key or not eq:
         raise _UsageError("ring %r takes the single parameter %s" % (base, key))
     try:
-        return builder(int(value))
+        n = int(value)
     except ValueError:
         raise _UsageError("ring parameter %s must be an integer" % key) from None
+    if not lo <= n <= hi:
+        raise _UsageError("ring parameter %s must lie in %d..%d" % (key, lo, hi))
+    return builder(n)
 
 
 def _cmd_sw(args) -> int:

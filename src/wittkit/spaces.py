@@ -2,8 +2,10 @@
 
 A descriptor stores the small amount of data the group computations need:
 genus and punctures for curves; integral cohomology, Picard data, and the
-mod-2 operation matrices for surfaces. Everything else (Betti numbers,
-mod-2 cohomology, Picard groups, graded K-theory) is derived here.
+mod-2 operation matrices for surfaces. Every descriptor holds its integral
+cohomology table; the constructors of the point and of curves fill it in.
+Everything else (Betti numbers, mod-2 cohomology, Picard groups, graded
+K-theory) is derived here.
 
 Matrix fields (sq2, pi2, s1) are F2 matrices over the canonical mod-2 bases:
 H^2(Z)/2 is spanned by the free generators of H^2 followed by its 2-torsion
@@ -35,9 +37,10 @@ from .groups import (
 INTEGRAL = "integral"
 MOD2 = "mod2"
 
-# largest 2g + n of a curve: the tables build 2g + n invariant factors and
-# square matrices of that side, so a genus from a file must stay near the
-# largest size the tables are meant for (g = 1000, with room for punctures)
+# largest 2g + n of a curve: the tables build up to 2g + n invariant factors
+# and karoubi_check square matrices of that side, so a genus from a file must
+# stay near the largest size the tables are meant for (g = 1000, with room
+# for punctures)
 MAX_CURVE_RANK = 2048
 
 
@@ -70,7 +73,7 @@ class SpaceDescriptor:
 
 
 def make_point() -> SpaceDescriptor:
-    return SpaceDescriptor(kind="point")
+    return SpaceDescriptor(kind="point", h_int_table=(Z,))
 
 
 def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescriptor:
@@ -83,8 +86,10 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
     if 2 * genus + punctures > MAX_CURVE_RANK:
         raise InconsistentDescriptor(
             "2 * genus + punctures must be at most %d" % MAX_CURVE_RANK)
+    b1 = 2 * genus + (0 if projective else punctures - 1)
     return SpaceDescriptor(kind="curve", projective=bool(projective), genus=genus,
-                           punctures=punctures)
+                           punctures=punctures,
+                           h_int_table=(Z, free(b1), Z if projective else TRIVIAL))
 
 
 def _as_f2(m, name: str, rows: int, cols: int) -> Matrix:
@@ -183,28 +188,11 @@ def require_kind(space, kind: str):
 
 
 def betti(space: SpaceDescriptor) -> tuple:
-    if space.kind == "point":
-        return (1,)
-    if space.kind == "curve":
-        if space.projective:
-            return (1, 2 * space.genus, 1)
-        return (1, 2 * space.genus + space.punctures - 1, 0)
     return tuple(h.free_rank for h in space.h_int_table)
 
 
-def h_int(space: SpaceDescriptor) -> tuple:
-    """Integral cohomology in all degrees 0..2*dim."""
-    if space.kind == "point":
-        return (Z,)
-    if space.kind == "curve":
-        b1 = betti(space)[1]
-        top = Z if space.projective else TRIVIAL
-        return (Z, free(b1), top)
-    return space.h_int_table
-
-
 def singular_h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
-    table = h_int(space)
+    table = space.h_int_table
     if not 0 <= degree <= 2 * space.dim:
         raise DegreeOutOfRange(
             "degree %d out of range 0..%d" % (degree, 2 * space.dim)

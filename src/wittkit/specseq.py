@@ -155,7 +155,6 @@ class EInfinityReport:
     unknown_degrees: frozenset
     unknown_arrows: tuple
     pages_turned: int
-    exponent_two: bool
 
     def pieces(self, degree: int):
         return tuple(g for _, _, g in self.degrees.get(degree, ()))
@@ -182,7 +181,9 @@ def run_to_stable(
     differential the instantiation has pinned to zero. Any other
     source/target pair of nonzero entries with no installed differential is
     treated as zero but recorded in ``unknown_arrows`` (maps from a finite
-    group to a torsion-free one are forced and not recorded).
+    group to a torsion-free one are forced and not recorded). With
+    ``exponent_two``, a degree whose pieces are all elementary 2-groups
+    counts as resolved.
     """
     (s_lo, s_hi), (t_lo, t_hi) = region
     for (s, t) in page.entries:
@@ -227,7 +228,6 @@ def run_to_stable(
         unknown_degrees=tainted,
         unknown_arrows=tuple(unknown),
         pages_turned=page.r - start,
-        exponent_two=exponent_two,
     )
 
 

@@ -1,9 +1,13 @@
 """Topological K, KO, and KO/K groups in closed form.
 
-KO of a curve is the eight-periodic table (projective case) or the
-wedge-of-circles model (affine case, where the free cohomology leaves no
-extension ambiguity). KO/K quotients of surfaces are direct sums of their
-graded pieces, those of curves counts of Z/2; realification followed by
+A point or a curve is stably a wedge of spheres, b_p copies of S^p (an
+affine curve is a wedge of circles; the top cell of a projective one is
+attached by a product of commutators, which is stably null). So KO^n is the
+sum of b_p copies of KO^(n-p) of a point, and, as realification r: K -> KO
+is a map of spectra, untwisted KO^n/K is the same sum over the point's
+KO^n/rK^n: Z/2 at n = 0 and 7 (mod 8), zero elsewhere. The twisted curve
+row of KO/K is written by hand, as the Thom space of O(p) is not a wedge.
+KO/K of a surface is a direct sum of its graded pieces. r followed by
 complexification is multiplication by 2, so every quotient has exponent
 two. Odd KO totals of surfaces are never emitted: the quotient formulas do
 not need them.
@@ -33,6 +37,7 @@ from .spaces import (
     INTEGRAL,
     MOD2,
     SpaceDescriptor,
+    betti,
     pic_surjective,
     require_kind,
     singular_h,
@@ -53,7 +58,20 @@ def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
 # KO tables
 
 _KO_POINT = (Z, TRIVIAL, TRIVIAL, TRIVIAL, Z, TRIVIAL, Z2, Z2)
-_KOK_POINT = (Z2, TRIVIAL, TRIVIAL, TRIVIAL)
+# KO^n/rK^n of a point: r is 2 on KO^0 and onto KO^4 and KO^6; K^7 = 0
+_KO_MOD_RK_POINT = (Z2, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, Z2)
+_KOK_POINT = _KO_MOD_RK_POINT[::2]
+
+
+def _wedge(point_table, space: SpaceDescriptor, n: int) -> SymGroup:
+    """The sum over p of b_p copies of ``point_table[n - p]``, for a point or
+    a curve; the entries of an eight-periodic point table are Z, Z/2 or 0."""
+    free_rank = twos = 0
+    for p, b in enumerate(betti(space)):
+        g = point_table[(n - p) % 8]
+        free_rank += b * g.free_rank
+        twos += b * len(g.torsion)
+    return SymGroup(free_rank, (2,) * twos, 0)
 
 
 def ko_point(d: int) -> SymGroup:
@@ -63,16 +81,7 @@ def ko_point(d: int) -> SymGroup:
 def ko_curve(space: SpaceDescriptor, d: int) -> SymGroup:
     """KO^d of the underlying complex of a smooth curve."""
     require_kind(space, "curve")
-    d %= 8
-    # KO^d as (free rank, number of Z/2 summands) for d = 0..7
-    if space.projective:
-        k = 2 * space.genus
-        table = ((1, k + 1), (k, 1), (1, 0), (0, 0), (1, 0), (k, 0), (1, 1), (0, k + 1))
-    else:
-        k = 2 * space.genus + space.punctures - 1
-        table = ((1, k), (k, 0), (0, 0), (0, 0), (1, 0), (k, 0), (0, 1), (0, k + 1))
-    free_rank, twos = table[d]
-    return SymGroup(free_rank, (2,) * twos, 0)
+    return _wedge(_KO_POINT, space, d)
 
 
 def ko_curve_reduced(space: SpaceDescriptor, d: int) -> SymGroup:
@@ -106,14 +115,13 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
         raise DegreeOutOfRange("KO/K quotients live in even shifts only")
     tw = check_twist(space, twist)
     i = (shift % 8) // 2
-    if space.kind == "point":
-        g = _KOK_POINT[i]
-    elif space.kind == "curve":
-        # KO^2i/K as a number of Z/2 summands for i = 0..3
-        b1, deg = _h(space, 1, MOD2).ngens, _h(space, 2, MOD2).ngens
-        g = elementary_two(((b1, 0, 0, 0) if tw == ODD_TWIST else (1 + b1, deg, 0, 0))[i])
-    else:
+    if space.kind == "surface":
         g = _kok_surface(space, i)
+    elif tw == ODD_TWIST:
+        # the Thom space of O(p) is not a wedge: Z/2 counts for i = 0..3
+        g = elementary_two((betti(space)[1], 0, 0, 0)[i])
+    else:
+        g = _wedge(_KO_MOD_RK_POINT, space, 2 * i)
     return exponent_two(g)
 
 
@@ -150,7 +158,7 @@ def eta_iso_check(space: SpaceDescriptor) -> bool:
     """True when multiplication by eta identifies KO^{2i-1}[2] with KO^2i/K.
 
     The verdict is the vanishing of the 2-torsion of K^1. When it holds, the
-    identification is asserted: in full against the curve/point KO tables,
+    identification is asserted: in full against the KO of a point or a curve,
     and at the level of two-torsion ranks of stable-page pieces for surfaces
     (odd KO totals are not emitted there), skipping shifts the undetermined
     page-3 arrow touches.
@@ -161,10 +169,8 @@ def eta_iso_check(space: SpaceDescriptor) -> bool:
     for i in range(4):
         quotient = kok(space, 2 * i)
         d = (2 * i - 1) % 8
-        if space.kind == "point":
-            ok = quotient == two_torsion(ko_point(d))
-        elif space.kind == "curve":
-            ok = quotient == two_torsion(ko_curve(space, d))
+        if rep is None:
+            ok = quotient == two_torsion(_wedge(_KO_POINT, space, d))
         else:
             td = _KO_DEGREE_READ[d]
             if td in rep.unknown_degrees:
@@ -261,8 +267,7 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     if space.kind == "surface" or tw == ODD_TWIST:
         ko = ko_red = (None,) * 8
     else:
-        ko = tuple(ko_point(d) if space.kind == "point" else ko_curve(space, d)
-                   for d in range(8))
+        ko = tuple(_wedge(_KO_POINT, space, d) for d in range(8))
         ko_red = tuple(cancel(g, ko_point(d)) for d, g in enumerate(ko))
     kok_row = tuple(kok(space, 2 * i, tw) for i in range(4))
     return KoTable(

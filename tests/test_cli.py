@@ -257,6 +257,26 @@ def test_sw_ring_grammar_errors():
                  "projective?d=2&x=1"):
         code, _, err = go("sw", "--ring", text, "--rank", "1")
         assert code == 1 and err.startswith("error")
+    # parameters outside the admitted range are refused by name and range
+    for text, bound in (("projective?d=-1", "d must lie in 0..512"),
+                        ("projective?d=513", "d must lie in 0..512"),
+                        ("curve?g=-1", "g must lie in 0..1024"),
+                        ("curve?g=1025", "g must lie in 0..1024"),
+                        ("generic?rank=0", "rank must lie in 1..10"),
+                        ("generic?rank=-1", "rank must lie in 1..10"),
+                        ("generic?rank=11", "rank must lie in 1..10")):
+        code, out, err = go("sw", "--ring", text, "--rank", "1")
+        assert (code, out) == (1, ""), text
+        assert err.startswith("error") and bound in err, (text, err)
+        assert "Traceback" not in err, text
+
+
+def test_sw_largest_rings_are_fast():
+    # the largest admitted ring of each kind; P^512 has 66,049 product entries
+    for text in ("projective?d=512", "curve?g=1024", "generic?rank=10"):
+        best = min(timed(go, "sw", "--ring", text, "--rank", "1") for _ in range(2))
+        assert best < 2.0, (text, best)
+        assert go("sw", "--ring", text, "--rank", "1")[0] == 0, text
 
 
 def test_sw_rejects_nonhomogeneous_chern():

@@ -1,11 +1,14 @@
 """The curve tables read off summand counts, against the direct-sum assembly
-they replaced.
+they replaced, and KO of points and curves read off the wedge of spheres,
+against the hand tables it replaced.
 
 ``reference_gw_curve``, ``reference_w_curve`` and ``reference_kok`` are the
 functions as they stood when every curve group was assembled with
 ``direct_sum``, copied verbatim (only renamed). The count rows must give the
 same render, or raise the same exception, for every curve, shift and twist,
-and so must the reduced groups derived from them.
+and so must the reduced groups derived from them. ``reference_ko_curve`` is
+``ko_curve`` as it stood when it held one hand table per kind of curve,
+copied verbatim (only renamed).
 """
 
 from wittkit.errors import DegreeOutOfRange, WittkitError
@@ -14,14 +17,34 @@ from wittkit.groups import (
     Z,
     Z2,
     SymGroup,
+    cancel,
     direct_sum,
     direct_sum_all,
     divisible,
     exponent_two,
     render,
 )
-from wittkit.spaces import MOD2, SpaceDescriptor, etale_h, make_curve, picard, require_kind
-from wittkit.topko import _KOK_POINT, _h, _kok_surface, kok, kok_reduced
+from wittkit.spaces import (
+    MOD2,
+    SpaceDescriptor,
+    etale_h,
+    make_curve,
+    make_point,
+    picard,
+    require_kind,
+)
+from wittkit.topko import (
+    _KO_POINT,
+    _KOK_POINT,
+    _h,
+    _kok_surface,
+    ko_curve,
+    ko_curve_reduced,
+    ko_point,
+    ko_table,
+    kok,
+    kok_reduced,
+)
 from wittkit.witt import (
     ODD_TWIST,
     TRIVIAL_TWIST,
@@ -91,6 +114,21 @@ def reference_kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> Sy
     return exponent_two(g)
 
 
+def reference_ko_curve(space: SpaceDescriptor, d: int) -> SymGroup:
+    """KO^d of the underlying complex of a smooth curve."""
+    require_kind(space, "curve")
+    d %= 8
+    # KO^d as (free rank, number of Z/2 summands) for d = 0..7
+    if space.projective:
+        k = 2 * space.genus
+        table = ((1, k + 1), (k, 1), (1, 0), (0, 0), (1, 0), (k, 0), (1, 1), (0, k + 1))
+    else:
+        k = 2 * space.genus + space.punctures - 1
+        table = ((1, k), (k, 0), (0, 0), (0, 0), (1, 0), (k, 0), (0, 1), (0, k + 1))
+    free_rank, twos = table[d]
+    return SymGroup(free_rank, (2,) * twos, 0)
+
+
 def outcome(call):
     try:
         return render(call())
@@ -137,3 +175,35 @@ def test_projective_curve_rows_match_direct_sum_assembly():
 
 def test_affine_curve_rows_match_direct_sum_assembly():
     assert_rows_match(make_curve(False, g, n) for g in range(13) for n in range(1, 7))
+
+
+def assert_ko_matches_hand_tables(curves):
+    for space in curves:
+        table = ko_table(space)
+        for d in range(8):
+            want = render(reference_ko_curve(space, d))
+            want_red = render(cancel(reference_ko_curve(space, d), ko_point(d)))
+            where = (str(space), d)
+            assert render(ko_curve(space, d)) == want, where
+            assert render(ko_curve(space, d + 8)) == want, where
+            assert render(table.ko[d]) == want, where
+            assert render(ko_curve_reduced(space, d)) == want_red, where
+            assert render(table.ko_reduced[d]) == want_red, where
+
+
+def test_projective_curve_ko_matches_hand_table():
+    assert_ko_matches_hand_tables(make_curve(True, g) for g in range(41))
+
+
+def test_affine_curve_ko_matches_hand_table():
+    assert_ko_matches_hand_tables(
+        make_curve(False, g, n) for g in range(13) for n in range(1, 7))
+
+
+def test_point_ko_and_kok_are_the_point_tables():
+    point = make_point()
+    table = ko_table(point)
+    assert tuple(map(render, table.ko)) == tuple(map(render, _KO_POINT))
+    assert tuple(map(render, table.kok)) == tuple(map(render, _KOK_POINT))
+    for i in range(4):
+        assert render(kok(point, 2 * i)) == render(_KOK_POINT[i])

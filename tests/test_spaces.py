@@ -32,7 +32,6 @@ from wittkit.spaces import (
     descriptor_from_json,
     descriptor_to_json,
     etale_h,
-    h_int,
     k0_alg,
     make_curve,
     make_point,
