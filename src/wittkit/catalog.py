@@ -179,7 +179,8 @@ def _entry_k3(rho: int) -> CatalogEntry:
             "h_int": "simply connected, H^2 = Z^22 torsion-free",
             "nu": "torsion-free H^2",
             "rho": "parameter, 0 <= rho <= %d: algebraic K3 surfaces realize "
-                   "every such Picard number" % MAX_K3_RHO,
+                   "1..%d; rho = 0 is the lattice of a non-algebraic K3, kept "
+                   "as the limit case of the formulas" % (MAX_K3_RHO, MAX_K3_RHO),
             "ch2_mod2_rank": "H^4(Z/2) = Z/2",
             "sq2": "the K3 lattice is even: x.x = 0 mod 2 for integral x",
             "pi2": "reduction is an isomorphism",

@@ -137,6 +137,13 @@ def make_surface(
                 "projective-duality: torsion of H^3 must match H^2 (%s vs %s)"
                 % (render(table[3]), render(table[2]))
             )
+        b1, b3 = table[1].free_rank, table[3].free_rank
+        if b3 != b1:  # rank H^3 = rank H_1 = rank H^1, by duality again
+            raise InconsistentDescriptor(
+                "projective-duality: rank H^3 must match H^1 (%d vs %d)" % (b3, b1))
+        if b1 % 2:
+            raise InconsistentDescriptor(
+                "projective-b1: b1 = %d is odd, but Hodge symmetry makes it even" % b1)
         if table[4] != Z:
             raise InconsistentDescriptor("projective-h4: H^4 of a projective surface is Z")
         if ch2_mod2_rank != 1:

@@ -9,7 +9,7 @@ rings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from .errors import (
     InvariantViolation,
@@ -254,17 +254,9 @@ def fh_image(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> FHImage:
         return FHImage(coords=("rank", "c1", "c2"), columns=(), jac=False,
                        gr_multipliers=mult)
     require_kind(space, "curve")
-    tw = check_twist(space, twist)
-    even = i % 2 == 0
-    if tw == ODD_TWIST:
-        if even:
-            return FHImage(coords=("rank", "deg"), columns=((2, 1),), jac=False)
-        return FHImage(coords=("rank", "deg"), columns=((0, 1),), jac=True)
-    if space.projective:
-        if even:
-            return FHImage(coords=("deg",), columns=(), jac=False)
-        return FHImage(coords=("deg",), columns=((2,),), jac=True)
-    return FHImage(coords=(), columns=(), jac=not even)
+    coords, _, _, fh_columns = _karoubi_case(space, check_twist(space, twist))
+    # F.H covers the divisible Jacobian summand exactly at odd shifts
+    return FHImage(coords=coords, columns=fh_columns[i % 2], jac=i % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +272,33 @@ def fh_image(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> FHImage:
 _DIV_FULL = "full"        # image covers the whole divisible summand
 _DIV_TORSION = "torsion"  # image is exactly its 2-torsion
 _DIV_ZERO = "zero"        # image misses it entirely
+# divisible flag of im F on GW^i, the same for every curve
+_IM_F_DIV = (_DIV_TORSION, _DIV_FULL, _DIV_ZERO, _DIV_FULL)
+
+# Per curve case: the free coordinates of the K_0 shadow; the columns of im F
+# on GW^i per shift; the rows of each hyperbolic map K_0 -> GW^i shadow that
+# the map touches (the remaining generators of the shadow are untouched and
+# follow as zero rows); and the columns of F.H at even and at odd shifts.
+_KAROUBI_CURVES = {
+    "affine": ((), ((),) * 4, ((),) * 4, ((), ())),
+    TRIVIAL_TWIST: (
+        ("deg",),
+        ((), ((1,),), (), ((2,),)),
+        (((1,),), ((2,),), (), ((1,),)),
+        ((), ((2,),)),
+    ),
+    # the rank generator spans the free part of GW^0
+    ODD_TWIST: (
+        ("rank", "deg"),
+        (((2, 1),), ((0, 1),)) * 2,
+        (((1, 0),), ((1, -2),)) * 2,
+        (((2, 1),), ((0, 1),)),
+    ),
+}
+
+
+def _karoubi_case(space: SpaceDescriptor, tw: str) -> tuple:
+    return _KAROUBI_CURVES[tw if space.projective else "affine"]
 
 
 @dataclass(frozen=True)
@@ -302,54 +321,15 @@ class KaroubiReport:
 
 
 def _split_flags(space: SpaceDescriptor, tw: str) -> tuple:
-    # the only nonsplit extension in the curve tables is untwisted GW^1
-    if space.projective and tw == TRIVIAL_TWIST:
-        return (True, False, True, True)
-    return (True, True, True, True)
+    # GW^i splits as (image of K_0) + W^i exactly when the row H^i touches is
+    # primitive; the only nonsplit extension is untwisted projective GW^1
+    return tuple(all(gcd(*row) == 1 for row in rows)
+                 for rows in _karoubi_case(space, tw)[2])
 
 
-def _karoubi_setup(space: SpaceDescriptor, tw: str, gw_fg: tuple):
-    """Coordinate frame, forgetful images, and hyperbolic matrices per shift.
-
-    ``im_f[i]`` is the image of GW^i under F as (columns, divisible flag);
-    ``hyp[i]`` is the matrix of the hyperbolic map into the GW^i shadow
-    ``gw_fg[i]``.
-    """
-    g2 = 2 * space.genus
-    if not space.projective:
-        k_fg = TRIVIAL
-        im_f = (((), _DIV_TORSION), ((), _DIV_FULL), ((), _DIV_ZERO), ((), _DIV_FULL))
-        hyp = tuple(tuple(() for _ in range(gw_fg[i].ngens)) for i in range(4))
-        return (), k_fg, im_f, hyp
-    if tw == ODD_TWIST:
-        k_fg = free(2)  # (rank, deg)
-        im_f = (
-            (((2, 1),), _DIV_TORSION),
-            (((0, 1),), _DIV_FULL),
-            (((2, 1),), _DIV_ZERO),
-            (((0, 1),), _DIV_FULL),
-        )
-        hyp = (
-            ((1, 0),) + ((0, 0),) * g2,   # rank generator spans the split Z/2-free part
-            ((1, -2),),
-            ((1, 0),),
-            ((1, -2),),
-        )
-        return ("rank", "deg"), k_fg, im_f, hyp
-    k_fg = Z  # (deg)
-    im_f = (
-        ((), _DIV_TORSION),
-        (((1,),), _DIV_FULL),
-        ((), _DIV_ZERO),
-        (((2,),), _DIV_FULL),
-    )
-    hyp = (
-        ((1,),) + ((0,),) * g2,
-        ((2,),),
-        (),
-        ((1,),),
-    )
-    return ("deg",), k_fg, im_f, hyp
+def _hyperbolic_map(k_fg: SymGroup, shadow: SymGroup, rows: tuple) -> GroupMap:
+    """H: the rows it touches, then a zero row per untouched generator of ``shadow``."""
+    return GroupMap(k_fg, shadow, rows + ((0,) * k_fg.ngens,) * (shadow.ngens - len(rows)))
 
 
 def _in_lattice(col, cols, n: int) -> bool:
@@ -368,20 +348,21 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
     tw = check_twist(space, twist)
     gw_reds = tuple(gw_curve_reduced(space, i, tw) for i in range(4))
     gw_fg = tuple(SymGroup(g.free_rank, g.torsion, 0) for g in gw_reds)
-    coords, k_fg, im_f, hyp = _karoubi_setup(space, tw, gw_fg)
+    coords, im_cols, touched, _ = _karoubi_case(space, tw)
+    k_fg = free(len(coords))
     jac_rank = picard(space).divisible_rank
     expected_split = _split_flags(space, tw)
     nodes = []
     for i in range(4):
         failures = []
-        in_cols, in_flag = im_f[(i - 1) % 4]
+        in_cols, in_flag = im_cols[(i - 1) % 4], _IM_F_DIV[(i - 1) % 4]
         gw_red = gw_reds[i]
         w_red = w_reduced(space, i, tw)
 
         incl = GroupMap(free(len(in_cols)), k_fg,
                         tuple(tuple(c[r] for c in in_cols) for r in range(k_fg.ngens)))
         s_fg, _ = cokernel_map(incl)
-        h_map = GroupMap(k_fg, gw_fg[i], hyp[i])
+        h_map = _hyperbolic_map(k_fg, gw_fg[i], touched[i])
         w_fg, w_proj = cokernel_map(h_map)
 
         report = check_exact([incl, h_map, w_proj])
@@ -404,7 +385,7 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
             failures.append("split-flag")
 
         fh = fh_image(space, i, tw)
-        own_cols, own_flag = im_f[i]
+        own_cols, own_flag = im_cols[i], _IM_F_DIV[i]
         if any(not _in_lattice(c, own_cols, k_fg.ngens) for c in fh.columns):
             failures.append("fh-lattice")
         if fh.jac and own_flag != _DIV_FULL:

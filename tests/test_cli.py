@@ -4,9 +4,10 @@ Everything runs in-process through ``run`` so exit codes and output are
 captured exactly. Two subprocess tests run the ``[project.scripts]`` entry
 point of ``pyproject.toml`` in a fresh interpreter, through the same small
 wrapper that pip installs as the ``wittkit`` script, and check that it
-gives the same exit code and stdout bytes as ``run``. Two more run every
-command on genus-1000 curve files, and two commands on a surface file with
-long group strings, in a fresh interpreter under a timeout.
+gives the same exit code and stdout bytes as ``run``; two more do the same
+for ``python -m wittkit.cli`` against ``main``. Two more run every command
+on genus-1000 curve files, and two commands on a surface file with long
+group strings, in a fresh interpreter under a timeout.
 """
 
 import contextlib
@@ -392,18 +393,24 @@ def test_run_reuses_one_parser(monkeypatch):
             assert (code, out) == first[argv][:2], argv
 
 
-@pytest.mark.parametrize("kind", ["h_int-integers", "sq2-null", "odd-torsion-duality"])
+@pytest.mark.parametrize("kind", ["h_int-integers", "sq2-null", "odd-torsion-duality",
+                                  "b3-differs-from-b1", "odd-b1"])
 def test_malformed_descriptor_files_exit_one_with_signal(tmp_path, kind):
     doc = json.loads(descriptor_to_json(catalog_get("p2").descriptor))
     if kind == "h_int-integers":
         doc["h_int"] = [1, 2, 3, 4, 5]
     elif kind == "sq2-null":
         doc["sq2"] = [[None]]
+    elif kind == "b3-differs-from-b1":
+        doc["h_int"] = ["Z", "Z^2", "Z", "0", "Z"]
+    elif kind == "odd-b1":
+        doc["h_int"] = ["Z", "Z", "Z", "Z", "Z"]
     else:
         doc["h_int"][2] = "Z + Z/3"
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     for argv in (("compute", "--space", str(path), "--theory", "w"),
+                 ("compute", "--space", str(path), "--theory", "kok"),
                  ("compare", "--space", str(path)),
                  ("specseq", "--space", str(path), "--engine", "pardon")):
         code, out, err = go(*argv)
@@ -565,22 +572,26 @@ def declared_script():
     return scripts["wittkit"]
 
 
-def run_script(tmp_path, *argv):
-    """Run the declared console script in a fresh interpreter.
+def run_child(*args):
+    """Run ``python *args`` in a fresh interpreter.
 
-    The wrapper is the one pip writes for an entry point. ``PYTHONPATH``
-    starts with the directory holding the ``wittkit`` package this suite
-    imported, so the child runs the same code.
+    ``PYTHONPATH`` starts with the directory holding the ``wittkit`` package
+    this suite imported, so the child runs the same code.
     """
+    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def run_script(tmp_path, *argv):
+    """Run the declared console script, the wrapper pip writes for it."""
     module, _, attr = declared_script().partition(":")
     script = tmp_path / "wittkit"
     script.write_text("import sys\nfrom %s import %s\nsys.argv[0] = 'wittkit'\n"
                       "sys.exit(%s())\n" % (module, attr, attr))
-    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(script), *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return run_child(str(script), *argv)
 
 
 def test_console_script_is_installed(tmp_path):
@@ -602,3 +613,16 @@ def test_console_script_assert_exit_code(tmp_path):
     done = run_script(tmp_path, *argv)
     assert done.returncode == 2, done.stderr
     assert (done.returncode, done.stdout) == go(*argv)[:2], done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("compare", "--space", "catalog:k3?rho=20", "--assert"), 2),
+    (("compute", "--space", "catalog:p1", "--theory", "w"), 0),
+])
+def test_python_dash_m_runs_the_command(monkeypatch, capsys, argv, code):
+    done = run_child("-m", "wittkit.cli", *argv)
+    monkeypatch.setattr(sys, "argv", ["wittkit", *argv])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == code
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out), done.stderr

@@ -5,10 +5,15 @@ oracle (one-vertex CW models: wedge of circles, closed orientable surface).
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import sample_spaces
+import wittkit
 from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get
 from wittkit.errors import DegreeOutOfRange, InconsistentDescriptor
 from wittkit.groups import (
@@ -437,6 +442,54 @@ def test_projective_duality_covers_odd_torsion():
     assert descriptor_from_json(descriptor_to_json(odd)) == odd
     enr = enriques_surface()
     assert descriptor_from_json(descriptor_to_json(enr)) == enr
+
+
+# Projective surfaces that duality or Hodge symmetry forbid, with rho = 1:
+# F1 has b1 = 2 and b3 = 0, F2 has b1 = b3 = 1.
+FORBIDDEN_SURFACES = (
+    ("b3-differs-from-b1", ["Z", "Z^2", "Z", "0", "Z"], "projective-duality"),
+    ("odd-b1", ["Z", "Z", "Z", "Z", "Z"], "projective-b1"),
+)
+
+
+@pytest.mark.parametrize("name, h_int, rule", FORBIDDEN_SURFACES,
+                         ids=[row[0] for row in FORBIDDEN_SURFACES])
+def test_projective_surface_needs_dual_ranks_and_even_b1(name, h_int, rule):
+    table = tuple(parse_group(h) for h in h_int)
+    with pytest.raises(InconsistentDescriptor, match=rule):
+        make_surface(True, table, 0, 1, 1, ((1,),), ((1,),))
+    with pytest.raises(InconsistentDescriptor, match=rule):
+        descriptor_from_json(_p2_doc(h_int=h_int))
+    # neither rule binds a non-projective surface
+    other = make_surface(False, table, 0, 1, 1, ((1,),), ((1,),))
+    assert descriptor_from_json(descriptor_to_json(other)) == other
+
+
+def test_betti_check_survives_a_descriptor_forced_past_the_loader():
+    # the loader refuses b1 != b3 now, so the Betti-number check of w_surface
+    # guards only descriptors built around make_surface; it must still raise
+    # with assert statements stripped
+    child = (
+        "import dataclasses, sys\n"
+        "from wittkit.catalog import catalog_get\n"
+        "from wittkit.errors import InvariantViolation\n"
+        "from wittkit.groups import TRIVIAL, Z, free\n"
+        "from wittkit.witt import w_surface\n"
+        "p2 = catalog_get('p2').descriptor\n"
+        "forced = dataclasses.replace(p2, h_int_table=(Z, free(2), Z, TRIVIAL, Z))\n"
+        "try:\n"
+        "    w_surface(forced, 1)\n"
+        "    print(sys.flags.optimize, 'passed')\n"
+        "except InvariantViolation as exc:\n"
+        "    print(sys.flags.optimize, exc.signal)\n"
+    )
+    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 invariant-violation\n"
 
 
 def test_json_too_deep_or_too_long_is_a_descriptor_error():
