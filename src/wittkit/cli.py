@@ -15,7 +15,7 @@ import sys
 
 from .catalog import catalog_get, catalog_instances, catalog_list
 from .compare import SURFACE_MISMATCH, compare_w_kok, report_to_json
-from .errors import WittkitError
+from .errors import InconsistentDescriptor, WittkitError
 from .groups import render
 from .spaces import MAX_CURVE_RANK, descriptor_from_json, descriptor_to_json
 from .specseq import ahss_k, ahss_ko, pardon_stable
@@ -47,8 +47,12 @@ def _load_space(source: str):
     if source.startswith("catalog:"):
         name = source[len("catalog:"):]
         return name, catalog_get(name).descriptor
-    with open(source, "r", encoding="utf-8") as fh:
-        return source, descriptor_from_json(fh.read())
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InconsistentDescriptor("cannot read descriptor file: %s" % exc) from exc
+    return source, descriptor_from_json(text)
 
 
 def _space_pairs(args):
@@ -64,7 +68,12 @@ def _emit(payload, batch_name=None):
     print(json.dumps(payload))
 
 
-def _table_rows(label: str, values, stride: int = 1) -> list:
+# the payload row of each one-row theory; KOK and K0_gr sit in even degrees
+_ROW_KEYS = {"gw": "GW", "w": "W", "kok": "KOK", "k": "K0_gr"}
+
+
+def _table_rows(label: str, values) -> list:
+    stride = 2 if label in ("KOK", "K0_gr") else 1
     return ["%-8s%s" % ("%s^%d" % (label, i * stride), v if v is not None else "-")
             for i, v in enumerate(values)]
 
@@ -87,23 +96,16 @@ def _compute_payload(space, args):
         raise _UsageError("--degree applies to ko only")
     if theory in ("witt", "gw", "w"):
         payload = witt_json_payload(witt_table(space, args.twist))
-        if theory == "witt":
-            return payload
-        row = payload["GW" if theory == "gw" else "W"]
-        if args.shift is not None:
-            return _pick(row, args.shift, 4, "--shift")
-        return row
-    table = ko_table(space, args.twist)
-    payload = topko_json_payload(table)
-    if theory == "ko":
+    else:
+        payload = topko_json_payload(ko_table(space, args.twist))
+    if theory in ("witt", "ko"):
         if args.degree is not None:
             return _pick(payload["KO"], args.degree, 8, "--degree")
         return payload
-    if theory == "kok":
-        if args.shift is not None:
-            return _pick(payload["KOK"], args.shift, 4, "--shift")
-        return payload["KOK"]
-    return payload["K0_gr"]  # theory == "k"
+    row = payload[_ROW_KEYS[theory]]
+    if args.shift is not None:
+        return _pick(row, args.shift, 4, "--shift")
+    return row
 
 
 def _compute_table(space, args) -> list:
@@ -111,12 +113,11 @@ def _compute_table(space, args) -> list:
     if isinstance(payload, str) or payload is None:
         return [payload if payload is not None else "-"]
     if isinstance(payload, list):
-        label = {"gw": "GW", "w": "W", "kok": "KOK", "k": "K0_gr"}[args.theory]
-        return _table_rows(label, payload, 2 if args.theory in ("kok", "k") else 1)
+        return _table_rows(_ROW_KEYS[args.theory], payload)
     rows = []
     for key, values in payload.items():
         if isinstance(values, list):
-            rows.extend(_table_rows(key, values, 2 if key in ("KOK", "K0_gr") else 1))
+            rows.extend(_table_rows(key, values))
         else:
             rows.append("%-8s%s" % (key, json.dumps(values)))
     return rows

@@ -180,7 +180,7 @@ def snf(m, rows: int | None = None, cols: int | None = None):
     ``_chain`` behind every direct sum and parsed group) tracks neither,
     ``nullspace`` tracks only V
     (``homology_at``, behind ``kernel`` and ``cokernel``, calls both of
-    these), and ``cokernel_map``, also behind the lattice test of ``witt``,
+    these), and ``cokernel_map``, behind the Karoubi checks of ``witt``,
     tracks only U.
     """
     u, s, v = _smith(m, rows, cols, True, True)
@@ -590,15 +590,20 @@ def cokernel(f: GroupMap) -> SymGroup:
     return homology_at(f, None)
 
 
+def mod2_matrix(f: GroupMap) -> Matrix:
+    """f on mod-2 reductions, in the ``mod2_generators`` of both sides.
+
+    An odd-order generator drops out: it maps to a class of odd order, whose
+    even coordinates are 0 mod 2."""
+    cols = mod2_generators(f.domain)
+    return tuple(tuple(f.matrix[i][j] % 2 for j in cols)
+                 for i in mod2_generators(f.codomain))
+
+
 def image_rank2(f: GroupMap) -> int:
     """F2-rank of the induced map on mod-2 reductions."""
     _require_absent(f)
-    b = f.codomain
-    relb = relation_rows(b)
-    stacked = tuple(
-        tuple(f.matrix[i]) + tuple(r[i] for r in relb) for i in range(b.ngens)
-    )
-    return f2_rank(transpose(stacked, f.domain.ngens + len(relb))) - f2_rank(relb)
+    return f2_rank(mod2_matrix(f))
 
 
 def composite_is_zero(f: GroupMap, g: GroupMap) -> bool:

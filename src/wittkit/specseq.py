@@ -29,6 +29,7 @@ from .groups import (
     is_elementary_two,
     mod2,
     mod2_generators,
+    mod2_matrix,
     render,
     zero_map,
 )
@@ -113,8 +114,8 @@ class BigradedPage:
         return self.entries.get((s, t), TRIVIAL)
 
 
-def turn_page(page: BigradedPage, next_differentials=None) -> BigradedPage:
-    """Homology at every position; the next page's differentials default to zero."""
+def turn_page(page: BigradedPage) -> BigradedPage:
+    """Homology at every position; the next page's differentials are zero."""
     ds, dt = bidegree(page.convention, page.r)
     new_entries = {}
     for pos, grp in page.entries.items():
@@ -130,7 +131,6 @@ def turn_page(page: BigradedPage, next_differentials=None) -> BigradedPage:
         entries=new_entries,
         r=page.r + 1,
         convention=page.convention,
-        differentials=dict(next_differentials or {}),
     )
 
 
@@ -235,20 +235,13 @@ def run_to_stable(
 # debug dump
 
 
-def _mod2_matrix(gm: GroupMap):
-    # induced matrix on mod-2 reductions
-    cols = mod2_generators(gm.domain)
-    return tuple(tuple(gm.matrix[i][j] % 2 for j in cols)
-                 for i in mod2_generators(gm.codomain))
-
-
 def dump_page(page: BigradedPage) -> str:
     ds, dt = bidegree(page.convention, page.r)
     lines = []
     for (s, t) in sorted(page.entries):
         lines.append("E_%d[%d,%d] = %s" % (page.r, s, t, render(page.entries[(s, t)])))
     for (s, t) in sorted(page.differentials):
-        m = _mod2_matrix(page.differentials[(s, t)])
+        m = mod2_matrix(page.differentials[(s, t)])
         body = "; ".join(" ".join(str(x) for x in row) for row in m)
         lines.append(
             "d_%d[%d,%d→%d,%d] = [%s]" % (page.r, s, t, s + ds, t + dt, body)

@@ -141,9 +141,7 @@ def k_top_graded(space: SpaceDescriptor) -> tuple:
 
 def k1_two_torsion(space: SpaceDescriptor) -> SymGroup:
     # K^1 = H^1 + H^3; H^1 is free for every descriptor kind here
-    return direct_sum(
-        two_torsion(_h(space, 1, INTEGRAL)), two_torsion(_h(space, 3, INTEGRAL))
-    )
+    return two_torsion(_h(space, 3, INTEGRAL))
 
 
 # ---------------------------------------------------------------------------

@@ -332,17 +332,6 @@ def _hyperbolic_map(k_fg: SymGroup, shadow: SymGroup, rows: tuple) -> GroupMap:
     return GroupMap(k_fg, shadow, rows + ((0,) * k_fg.ngens,) * (shadow.ngens - len(rows)))
 
 
-def _in_lattice(col, cols, n: int) -> bool:
-    """Whether an integer vector lies in the lattice spanned by ``cols``."""
-    if not any(col):
-        return True
-    if not cols:
-        return False
-    span = GroupMap(free(len(cols)), free(n), tuple(zip(*cols)))
-    _, proj = cokernel_map(span)
-    return composite_is_zero(GroupMap(Z, free(n), tuple((x,) for x in col)), proj)
-
-
 def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
     require_kind(space, "curve")
     tw = check_twist(space, twist)
@@ -352,16 +341,18 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
     k_fg = free(len(coords))
     jac_rank = picard(space).divisible_rank
     expected_split = _split_flags(space, tw)
+    # im F on GW^i included into the K_0 shadow, and its cokernel: the
+    # S-piece of shift i + 1 and the lattice that F.H at shift i must land in
+    incls = tuple(GroupMap(free(len(cols)), k_fg, tuple(zip(*cols)) or ((),) * k_fg.ngens)
+                  for cols in im_cols)
+    cokers = tuple(cokernel_map(incl) for incl in incls)
     nodes = []
     for i in range(4):
         failures = []
-        in_cols, in_flag = im_cols[(i - 1) % 4], _IM_F_DIV[(i - 1) % 4]
+        incl, (s_fg, _) = incls[(i - 1) % 4], cokers[(i - 1) % 4]
         gw_red = gw_reds[i]
         w_red = w_reduced(space, i, tw)
 
-        incl = GroupMap(free(len(in_cols)), k_fg,
-                        tuple(tuple(c[r] for c in in_cols) for r in range(k_fg.ngens)))
-        s_fg, _ = cokernel_map(incl)
         h_map = _hyperbolic_map(k_fg, gw_fg[i], touched[i])
         w_fg, w_proj = cokernel_map(h_map)
 
@@ -372,7 +363,7 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
         if w_fg != w_expected_fg:
             failures.append("w-cokernel")
 
-        s_div = 0 if in_flag == _DIV_FULL else jac_rank
+        s_div = 0 if _IM_F_DIV[(i - 1) % 4] == _DIV_FULL else jac_rank
         if s_div != gw_red.divisible_rank or w_red.divisible_rank != 0:
             failures.append("divisible-rank")
         s_piece = direct_sum(s_fg, divisible(s_div))
@@ -385,10 +376,10 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
             failures.append("split-flag")
 
         fh = fh_image(space, i, tw)
-        own_cols, own_flag = im_cols[i], _IM_F_DIV[i]
-        if any(not _in_lattice(c, own_cols, k_fg.ngens) for c in fh.columns):
+        if any(not composite_is_zero(GroupMap(Z, k_fg, tuple((x,) for x in c)), cokers[i][1])
+               for c in fh.columns):
             failures.append("fh-lattice")
-        if fh.jac and own_flag != _DIV_FULL:
+        if fh.jac and _IM_F_DIV[i] != _DIV_FULL:
             failures.append("fh-jacobian")
 
         nodes.append(KaroubiNode(

@@ -418,6 +418,19 @@ def test_malformed_descriptor_files_exit_one_with_signal(tmp_path, kind):
         assert err.startswith("error [inconsistent-descriptor]: "), err
 
 
+def test_unreadable_space_files_exit_one_with_signal(tmp_path):
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, tmp_path / "missing.json", not_utf8):
+        for argv in (("compute", "--space", str(path), "--theory", "w"),
+                     ("compare", "--space", str(path)),
+                     ("specseq", "--space", str(path), "--engine", "pardon")):
+            code, out, err = go(*argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error [inconsistent-descriptor]: "), err
+            assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["deep-nesting", "long-order"])
 def test_unloadable_descriptor_files_exit_one_with_signal(tmp_path, kind):
     if kind == "deep-nesting":

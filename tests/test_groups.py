@@ -1233,15 +1233,20 @@ def test_homology_at_matches_reference(data):
 
 
 @settings(max_examples=50)
-@given(finite_groups(), finite_groups(), st.randoms(use_true_random=False))
-def test_image_rank2_brute_force(a, b, rng):
+@given(finite_groups(), finite_groups(), st.integers(0, 2), st.integers(0, 2),
+       st.randoms(use_true_random=False))
+def test_image_rank2_brute_force(a, b, a_free, b_free, rng):
+    # free parts on either side, as for H under O(p): the free K_0 shadow
+    # into Z + (Z/2)^2g
+    a, b = SymGroup(a_free, a.torsion), SymGroup(b_free, b.torsion)
     f = random_well_defined_map(rng, a, b)
-    # reduce to B/2B coordinates: free coords (none here) and even factors
-    even_coords = [i for i, d in enumerate(b.torsion) if d % 2 == 0]
+    # reduce to B/2B coordinates: the free ones and the even factors
+    coords = [i for i in range(b.ngens)
+              if i < b.free_rank or b.torsion[i - b.free_rank] % 2 == 0]
     seen = set()
     for bits in itertools.product((0, 1), repeat=a.ngens):
         y = apply_map(f, bits)
-        seen.add(tuple(y[b.free_rank + i] % 2 for i in even_coords))
+        seen.add(tuple(y[i] % 2 for i in coords))
     assert 2 ** image_rank2(f) == len(seen)
 
 
