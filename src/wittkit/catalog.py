@@ -258,6 +258,15 @@ def catalog_instances() -> tuple:
     )
 
 
+def canonical_int(value: str) -> int | None:
+    """The int ``value`` spells if ``str(int(value)) == value``, else None."""
+    try:
+        n = int(value)
+    except ValueError:
+        return None
+    return n if str(n) == value else None
+
+
 def _parse_params(base: str, query: str, keys: tuple) -> dict:
     params = {}
     for piece in query.split("&"):
@@ -265,11 +274,12 @@ def _parse_params(base: str, query: str, keys: tuple) -> dict:
         if not sep or key not in keys:
             raise UnknownName(
                 "entry %r takes parameters %s" % (base, ", ".join(keys)))
-        try:
-            params[key] = int(value)
-        except ValueError:
-            raise UnknownName(
-                "parameter %r of %r must be an integer" % (key, base)) from None
+        if key in params:
+            raise UnknownName("parameter %r of %r is given twice" % (key, base))
+        n = canonical_int(value)
+        if n is None:
+            raise UnknownName("parameter %r of %r must be an integer" % (key, base))
+        params[key] = n
     missing = [k for k in keys if k not in params]
     if missing:
         raise UnknownName(

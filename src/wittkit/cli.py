@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .catalog import catalog_get, catalog_instances, catalog_list
+from .catalog import canonical_int, catalog_get, catalog_instances, catalog_list
 from .compare import SURFACE_MISMATCH, compare_w_kok, report_to_json
 from .errors import InconsistentDescriptor, WittkitError
 from .groups import render
@@ -226,10 +226,9 @@ def _build_ring(text: str):
     name, eq, value = query.partition("=")
     if name != key or not eq:
         raise _UsageError("ring %r takes the single parameter %s" % (base, key))
-    try:
-        n = int(value)
-    except ValueError:
-        raise _UsageError("ring parameter %s must be an integer" % key) from None
+    n = canonical_int(value)
+    if n is None:
+        raise _UsageError("ring parameter %s must be an integer" % key)
     if not lo <= n <= hi:
         raise _UsageError("ring parameter %s must lie in %d..%d" % (key, lo, hi))
     return builder(n)

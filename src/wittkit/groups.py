@@ -13,8 +13,9 @@ ranks, a free middle group with nothing divided out and a finite target is
 its own cycle group, and a middle group Z is read off two integers; none of
 these costs an elimination. Otherwise it reads the column transform V
 (through ``nullspace``) and then invariant factors alone; a zero outgoing
-map and zero image columns cost no elimination. The cokernel projection of
-``cokernel_map`` reads only the row transform U.
+map and zero image columns cost no elimination. ``cokernel_map`` into an
+elementary 2-group reads a mod-2 echelon form and runs no elimination;
+otherwise its projection reads only the row transform U.
 
 Matrix convention: a matrix is a tuple of row tuples of exact ints, and
 ``GroupMap`` refuses any other entry, as ``SymGroup`` refuses a rank or an
@@ -181,7 +182,7 @@ def snf(m, rows: int | None = None, cols: int | None = None):
     ``nullspace`` tracks only V
     (``homology_at``, behind ``kernel`` and ``cokernel``, calls both of
     these), and ``cokernel_map``, behind the Karoubi checks of ``witt``,
-    tracks only U.
+    tracks only U, and runs no elimination into an elementary 2-group.
     """
     u, s, v = _smith(m, rows, cols, True, True)
     return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
@@ -214,21 +215,25 @@ def nullspace(m, rows: int | None = None, cols: int | None = None):
 # F2 linear algebra (bitmask rows)
 
 
-def f2_rank(m) -> int:
-    """Rank over F2; integer entries are reduced mod 2."""
+def _f2_echelon(vectors) -> list:
+    """Echelon form over F2 of vectors mod 2: bitmasks, distinct lowest bits."""
     pivots = []
-    for row in m:
+    for vec in vectors:
         bits = 0
-        for j, x in enumerate(row):
+        for j, x in enumerate(vec):
             if x & 1:
                 bits |= 1 << j
         for p in pivots:
-            low = p & -p
-            if bits & low:
+            if bits & p & -p:
                 bits ^= p
         if bits:
             pivots.append(bits)
-    return len(pivots)
+    return pivots
+
+
+def f2_rank(m) -> int:
+    """Rank over F2; integer entries are reduced mod 2."""
+    return len(_f2_echelon(m))
 
 
 def f2_mul(a, b, b_cols: int | None = None) -> Matrix:
@@ -570,10 +575,31 @@ def kernel(f: GroupMap) -> SymGroup:
 
 
 def cokernel_map(f: GroupMap):
-    """Cokernel together with the canonical projection from the codomain."""
+    """Cokernel together with the canonical projection from the codomain.
+
+    Into an elementary 2-group no elimination runs, as in ``homology_at``:
+    f's columns mod 2 go to fully reduced echelon form (f respects
+    relations, so an odd-order generator has an even column), the cokernel
+    is (Z/2)^(n - r), and the projection has a row per non-pivot generator,
+    in order, with a 1 there and at every pivot whose reduced column has
+    its bit. Otherwise the projection is rows of U from an elimination.
+    """
     _require_absent(f)
     b = f.codomain
     n = b.ngens
+    if is_elementary_two(b):
+        piv = {(v & -v).bit_length() - 1: v for v in _f2_echelon(zip(*f.matrix))}
+        for p in sorted(piv, reverse=True):  # back-substitute: fully reduced
+            for q, v in piv.items():
+                if q < p and v >> p & 1:
+                    piv[q] = v ^ piv[p]
+        rows = [[0] * n for _ in range(n - len(piv))]
+        for row, i in zip(rows, (i for i in range(n) if i not in piv)):
+            row[i] = 1
+            for q, v in piv.items():
+                row[q] = v >> i & 1
+        coker = elementary_two(len(rows))
+        return coker, GroupMap(b, coker, rows)
     rel = tuple(
         _column(f.matrix, j, n) for j in range(f.domain.ngens)
     ) + relation_rows(b)

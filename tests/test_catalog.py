@@ -73,6 +73,12 @@ def test_parameter_grammar_errors():
         catalog_get("k3?rho=twenty")
     with pytest.raises(UnknownName):
         catalog_get("affine_curve?g=1")  # n missing
+    # a key given twice, and any value that is not canonical decimal
+    for name in ("k3?rho=5&rho=20", "affine_curve?g=1&n=1&n=2", "curve?g=01",
+                 "curve?g=+1", "curve?g=\u0661", "curve?g=1_0", "curve?g= 1",
+                 "curve?g=-0", "k3?rho=", "curve?g=None", "k3?rho=None"):
+        with pytest.raises(UnknownName):
+            catalog_get(name)
 
 
 def test_parameter_range_validation():

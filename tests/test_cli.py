@@ -255,7 +255,9 @@ def test_sw_truncation_overflow_is_a_validation_error():
 
 def test_sw_ring_grammar_errors():
     for text in ("projective?g=2", "foo?x=1", "generic", "generic?rank=two",
-                 "projective?d=2&x=1"):
+                 "projective?d=2&x=1", "curve?g=1_0", "projective?d=+2",
+                 "projective?d=02", "curve?g=\u0661", "generic?rank= 2",
+                 "curve?g=None"):
         code, _, err = go("sw", "--ring", text, "--rank", "1")
         assert code == 1 and err.startswith("error")
     # parameters outside the admitted range are refused by name and range
@@ -325,6 +327,11 @@ def test_bad_space_sources_exit_one(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert go("compute", "--space", str(broken), "--theory", "w")[0] == 1
+    # the last of two values for one key no longer wins, and a value that
+    # int() refuses is refused by name, not by a traceback
+    for space in ("catalog:k3?rho=5&rho=20", "catalog:curve?g=None"):
+        code, out, err = go("compute", "--space", space, "--theory", "w")
+        assert (code, out) == (1, "") and err.startswith("error [unknown-name]")
 
 
 def test_usage_errors_exit_one():

@@ -6,8 +6,10 @@ group structure from brute-force element counting, and F2 ranks from image
 enumeration. The Smith normal form is also checked against a frozen copy of
 its earlier, unoptimised elimination, which must give the same transforms,
 homology against a frozen copy of its integer-only route, which must give
-the same group, and direct sums and group parsing against frozen copies of
-their one-elimination-per-summand folds, which must give the same groups.
+the same group, direct sums and group parsing against frozen copies of
+their one-elimination-per-summand folds, which must give the same groups,
+and the cokernel projection into elementary 2-groups against a frozen copy
+of its elimination route, which must give the same cokernel.
 """
 
 import itertools
@@ -308,6 +310,30 @@ def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     k = len(cycles)
     basis = nullspace(transpose(cycles + boundaries, n), n, k + len(boundaries))
     return group_from_presentation(tuple(vec[:k] for vec in basis), k)
+
+
+# The cokernel projection as it stood before the F2 route into elementary
+# 2-groups, copied verbatim (only renamed). That route must give the same
+# cokernel group and a valid projection; its projection may differ, because
+# U depends on integer entries that an F2 reduction cannot see.
+_smith, _column = groups._smith, groups._column
+
+
+def reference_cokernel_map(f: GroupMap):
+    """Cokernel together with the canonical projection from the codomain."""
+    _require_absent(f)
+    b = f.codomain
+    n = b.ngens
+    rel = tuple(
+        _column(f.matrix, j, n) for j in range(f.domain.ngens)
+    ) + relation_rows(b)
+    u1, s1, _ = _smith(transpose(rel, n), n, len(rel), True, False)
+    k = min(n, len(rel))
+    free_idx = [i for i in range(n) if i >= k or s1[i][i] == 0]
+    tor_idx = [i for i in range(k) if s1[i][i] >= 2]
+    coker = SymGroup(len(free_idx), tuple(s1[i][i] for i in tor_idx), 0)
+    proj = GroupMap(b, coker, tuple(u1[i] for i in free_idx + tor_idx))
+    return coker, proj
 
 
 # Direct sums and group parsing as they stood before ``_chain``, copied
@@ -1093,6 +1119,35 @@ def test_homology_at_brute_force(a, b, c, shapes, rng):
 def test_cokernel_matches_cokernel_map(a, b, shape, rng):
     f = shaped_map(rng, a, b, shape)
     assert cokernel(f) == cokernel_map(f)[0]
+
+
+# Domains of maps into (Z/2)^n for the F2 cokernel route: free, elementary,
+# odd cyclic (whose columns must be even), Z/4, and a mix of all of them.
+F2_DOMAINS = (
+    st.integers(0, 6).map(free),
+    st.integers(0, 6).map(elementary_two),
+    st.sampled_from([3, 5, 9, 15]).map(cyclic),
+    st.just(cyclic(4)),
+    st.lists(st.sampled_from([Z, Z2, cyclic(3), cyclic(4)]), max_size=5).map(direct_sum_all),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cokernel_map_into_elementary_two_matches_reference(data):
+    b = elementary_two(data.draw(st.integers(0, 12)))
+    a = data.draw(st.one_of(F2_DOMAINS))
+    entries = st.sampled_from([0, 1, -1, 2, -2, 3, -3])
+    # an odd-order generator must map to an even column
+    even = mod2_generators(a)
+    cols = [[data.draw(entries) * (1 if j in even else 2) for _ in range(b.ngens)]
+            for j in range(a.ngens)]
+    f = GroupMap(a, b, tuple(zip(*cols)) or ((),) * b.ngens)
+    coker, proj = cokernel_map(f)
+    assert coker == reference_cokernel_map(f)[0]
+    assert all(x in (0, 1) for row in proj.matrix for x in row)
+    assert composite_is_zero(f, proj)
+    assert check_exact([f, proj, zero_map(coker, TRIVIAL)]).ok
 
 
 # Groups for the differential homology test: elementary 2-groups take the

@@ -6,10 +6,14 @@ data of ``karoubi_check`` was typed out once per curve case, copied verbatim
 (only renamed). The table, with the divisible flags, the zero rows of the
 untouched generators and the odd-shift ``jac`` derived from it, must give
 the same coordinates, K_0 shadow, forgetful images, hyperbolic matrices,
-split flags and F.H images on every curve case.
+split flags and F.H images on every curve case. Every cokernel projection
+that ``karoubi_check`` builds there must also equal the one of the
+elimination route that the F2 route into elementary 2-groups replaced.
 """
 
-from wittkit.groups import TRIVIAL, Z, GroupMap, SymGroup, free
+from test_groups import reference_cokernel_map
+from wittkit import witt
+from wittkit.groups import TRIVIAL, Z, GroupMap, SymGroup, cokernel_map, free
 from wittkit.spaces import SpaceDescriptor, make_curve, require_kind
 from wittkit.witt import (
     _DIV_FULL,
@@ -129,3 +133,14 @@ def test_karoubi_report_reads_the_table():
         assert rep.passed, (space, tw)
         assert rep.coords == _karoubi_case(space, tw)[0]
         assert tuple(n.split_expected for n in rep.nodes) == reference_split_flags(space, tw)
+
+
+def test_karoubi_cokernel_projections_match_reference(monkeypatch):
+    maps = []
+    monkeypatch.setattr(witt, "cokernel_map",
+                        lambda f: maps.append(f) or cokernel_map(f))
+    for space, tw in CURVE_CASES:
+        karoubi_check(space, tw)
+    assert len(maps) == 8 * len(CURVE_CASES)
+    for f in maps:
+        assert cokernel_map(f) == reference_cokernel_map(f), f
