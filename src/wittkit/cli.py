@@ -280,6 +280,13 @@ def _cmd_catalog(args) -> int:
 # wiring
 
 
+def _strict_int(value: str) -> int:
+    n = canonical_int(value)  # int() also takes 0_1, +1, 01, " 3", non-ASCII digits
+    if n is None:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % value)
+    return n
+
+
 def _add_format(parser):
     parser.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -301,8 +308,8 @@ def _build_parser() -> _Parser:
     compute.add_argument("--theory", required=True,
                          choices=("witt", "gw", "w", "ko", "kok", "k"))
     compute.add_argument("--twist", default=None)
-    compute.add_argument("--shift", type=int, default=None)
-    compute.add_argument("--degree", type=int, default=None)
+    compute.add_argument("--shift", type=_strict_int, default=None)
+    compute.add_argument("--degree", type=_strict_int, default=None)
     _add_format(compute)
     compute.set_defaults(handler=_cmd_compute)
 
@@ -323,7 +330,7 @@ def _build_parser() -> _Parser:
     sw = sub.add_parser("sw", help="metabolic total class expansion")
     sw.add_argument("--ring", required=True,
                     help="projective?d=, curve?g=, or generic?rank=")
-    sw.add_argument("--rank", type=int, required=True)
+    sw.add_argument("--rank", type=_strict_int, required=True)
     sw.add_argument("--chern", default="",
                     help="semicolon-joined classes c_1;c_2;... of the Lagrangian")
     sw.add_argument("--complex", action="store_true", dest="complex_base")

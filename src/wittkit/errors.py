@@ -22,7 +22,7 @@ class InconsistentDescriptor(WittkitError):
 
 
 class UnsupportedDivisibleMap(WittkitError):
-    """Kernel/cokernel arithmetic requested on a map touching a divisible summand."""
+    """A GroupMap was built with a divisible summand on its domain or codomain."""
 
     signal = "unsupported-divisible-map"
 

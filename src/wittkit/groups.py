@@ -5,10 +5,11 @@ divisible 2-torsion rank) so that equality is structural. ``_chain`` is the
 one route from a list of cyclic orders to that chain: ``direct_sum``,
 ``direct_sum_all`` and ``parse_group`` hand it every order at once, and it
 runs one ``snf_diagonal`` of the diagonal presentation, none for fewer than
-two orders. Maps between the finitely generated parts are integer matrices
-on the canonical generators, and kernels, cokernels and homology are
-computed through Smith normal form. All three are ``homology_at``, with
-``None`` for the missing map. Between elementary 2-groups it reads F2
+two orders. A ``GroupMap`` is an integer matrix on the canonical generators
+of two finitely generated groups; it refuses a divisible summand on either
+side, so divisible parts are tracked beside the maps. Kernels, cokernels
+and homology come from Smith normal form; all three are ``homology_at``,
+with ``None`` for the missing map. Between elementary 2-groups it reads F2
 ranks, a free middle group with nothing divided out and a finite target is
 its own cycle group, and a middle group Z is read off two integers; none of
 these costs an elimination. Otherwise it reads the column transform V
@@ -477,9 +478,6 @@ def parse_group(text: str) -> SymGroup:
 # maps
 
 
-_BEHAVIORS = ("absent", "zero", "torsion-inclusion")
-
-
 @dataclass(frozen=True)
 class GroupMap:
     """Homomorphism between the finitely generated parts of two SymGroups.
@@ -488,20 +486,15 @@ class GroupMap:
     image of the j-th canonical generator of the domain. Maps over F2 are the
     same thing with entries in {0, 1} and elementary 2-groups on both sides.
 
-    ``divisible_behavior`` records how a divisible summand of the domain is
-    carried: "absent" (neither side has one), "zero" (killed), or
-    "torsion-inclusion" (D(t) of the domain included into the codomain's
-    divisible part). Only "absent" maps support kernel/cokernel arithmetic.
+    Neither side may carry a divisible summand (``UnsupportedDivisibleMap``),
+    so no operation on maps checks for one.
     """
 
     domain: SymGroup
     codomain: SymGroup
     matrix: Matrix
-    divisible_behavior: str = "absent"
 
     def __post_init__(self):
-        if self.divisible_behavior not in _BEHAVIORS:
-            raise ValueError("unknown divisible_behavior %r" % (self.divisible_behavior,))
         mat = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
         if not all(isinstance(x, int) for row in mat for x in row):
@@ -513,17 +506,9 @@ class GroupMap:
                 "matrix must be %dx%d (codomain x domain generators)"
                 % (self.codomain.ngens, self.domain.ngens)
             )
-        if self.divisible_behavior == "absent":
-            if self.domain.divisible_rank or self.codomain.divisible_rank:
-                raise UnsupportedDivisibleMap(
-                    "map declared absent but a side carries a divisible summand"
-                )
-        elif self.divisible_behavior == "torsion-inclusion":
-            if self.domain.divisible_rank > self.codomain.divisible_rank:
-                raise UnsupportedDivisibleMap(
-                    "torsion-inclusion needs divisible rank %d <= %d"
-                    % (self.domain.divisible_rank, self.codomain.divisible_rank)
-                )
+        if self.domain.divisible_rank or self.codomain.divisible_rank:
+            raise UnsupportedDivisibleMap(
+                "a GroupMap takes no divisible summand on either side")
         # the matrix must send domain relations into the codomain lattice
         for i, d in enumerate(self.domain.torsion):
             col = _column(mat, self.domain.free_rank + i, self.codomain.ngens)
@@ -544,9 +529,9 @@ def _in_relation_lattice(vec, g: SymGroup) -> bool:
     return True
 
 
-def zero_map(domain: SymGroup, codomain: SymGroup, **kw) -> GroupMap:
+def zero_map(domain: SymGroup, codomain: SymGroup) -> GroupMap:
     m = tuple(((0,) * domain.ngens) for _ in range(codomain.ngens))
-    return GroupMap(domain, codomain, m, **kw)
+    return GroupMap(domain, codomain, m)
 
 
 def identity_map(g: SymGroup) -> GroupMap:
@@ -557,17 +542,7 @@ def compose(g: GroupMap, f: GroupMap) -> GroupMap:
     """g after f."""
     if f.codomain != g.domain:
         raise ShapeMismatch("compose: middle groups disagree")
-    _require_absent(f)
-    _require_absent(g)
     return GroupMap(f.domain, g.codomain, mat_mul(g.matrix, f.matrix, f.domain.ngens))
-
-
-def _require_absent(f: GroupMap):
-    if f.divisible_behavior != "absent":
-        raise UnsupportedDivisibleMap(
-            "operation needs a finitely generated map (divisible_behavior=absent), "
-            "got %r" % f.divisible_behavior
-        )
 
 
 def kernel(f: GroupMap) -> SymGroup:
@@ -584,7 +559,6 @@ def cokernel_map(f: GroupMap):
     in order, with a 1 there and at every pivot whose reduced column has
     its bit. Otherwise the projection is rows of U from an elimination.
     """
-    _require_absent(f)
     b = f.codomain
     n = b.ngens
     if is_elementary_two(b):
@@ -628,7 +602,6 @@ def mod2_matrix(f: GroupMap) -> Matrix:
 
 def image_rank2(f: GroupMap) -> int:
     """F2-rank of the induced map on mod-2 reductions."""
-    _require_absent(f)
     return f2_rank(mod2_matrix(f))
 
 
@@ -659,9 +632,6 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     Otherwise zero image columns add no relation, and a zero g makes every
     element a cycle, so it costs no nullspace.
     """
-    for m in (f, g):
-        if m is not None:
-            _require_absent(m)
     if f is not None and g is not None and not composite_is_zero(f, g):
         raise ValueError("homology undefined: composite is not zero")
     b = f.codomain if f is not None else g.domain
@@ -710,8 +680,6 @@ class ExactnessReport:
 
 def check_exact(maps) -> ExactnessReport:
     maps = tuple(maps)
-    for f in maps:
-        _require_absent(f)
     for i in range(len(maps) - 1):
         if maps[i].codomain != maps[i + 1].domain:
             raise ShapeMismatch("maps %d and %d are not composable" % (i, i + 1))

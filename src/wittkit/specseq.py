@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .errors import MalformedPage
 from .groups import (
     TRIVIAL,
+    Z,
     Z2,
     GroupMap,
     SymGroup,
@@ -318,44 +319,43 @@ def pardon_stable(space) -> EInfinityReport:
     )
 
 
-# KO coefficient rows inside one Bott window: q = 0, -4, -8 carry H^p(Z),
-# q = -1, -2, -9, -10 carry H^p(Z/2), the rest vanish
-_KO_Z_ROWS = (0, -4, -8)
-_KO_F2_ROWS = (-1, -2, -9, -10)
+# KO^n and K^n of a point, n mod 8. Row q of an Atiyah-Hirzebruch page
+# carries H^p with the point's coefficients at n = q.
+KO_POINT = (Z, TRIVIAL, TRIVIAL, TRIVIAL, Z, TRIVIAL, Z2, Z2)
+K_POINT = (Z, TRIVIAL) * 4
+_COEFFICIENTS = {Z: INTEGRAL, Z2: MOD2}
+
+
+def _ahss_page(space, point, q_lo: int) -> BigradedPage:
+    """E2-page on the rows q_lo..0 with d2 installed.
+
+    Row q carries H^p(Z) where the point has Z and H^p(Z/2) where it has
+    Z/2. d2 runs only into a Z/2 row: out of a Z row it is Sq2 composed with
+    mod-2 reduction, out of a Z/2 row Sq2 itself. Both vanish on classes of
+    degree below 2, so the only nonzero matrices occur at p = 2 (surfaces).
+    """
+    rows = sorted((q for q in range(0, q_lo - 1, -1) if point[q % 8] in _COEFFICIENTS),
+                  key=lambda q: point[q % 8] == Z2)  # Z rows first
+    cells = ((p, q, singular_h(space, p, _COEFFICIENTS[point[q % 8]]))
+             for q in rows for p in range(2 * space.dim + 1))
+    entries = {(p, q): g for p, q, g in cells if not g.is_trivial}
+    diffs = {}
+    for (p, q), src in entries.items():
+        tgt = entries.get((p + 2, q - 1))
+        if tgt is None or point[(q - 1) % 8] != Z2:
+            continue
+        if p < 2:
+            diffs[(p, q)] = zero_map(src, tgt)
+        else:
+            sq = space.sq2 if point[q % 8] == Z2 else sq2_integral(space)
+            diffs[(p, q)] = _map_from_f2(src, tgt, sq)
+    return BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL,
+                        differentials=diffs)
 
 
 def ahss_ko_page(space) -> BigradedPage:
-    """KO-theory E2-page with d2 installed.
-
-    d2 is Sq2 composed with mod-2 reduction on the H^p(Z) rows and Sq2 itself
-    on the H^p(Z/2) rows; both vanish on classes of degree below 2, so the
-    only nonzero matrices occur at p = 2 (surfaces).
-    """
-    p_max = 2 * space.dim
-    entries = {}
-    for q in _KO_Z_ROWS:
-        for p in range(p_max + 1):
-            entries[(p, q)] = singular_h(space, p, INTEGRAL)
-    for q in _KO_F2_ROWS:
-        for p in range(p_max + 1):
-            entries[(p, q)] = singular_h(space, p, MOD2)
-    entries = {pos: g for pos, g in entries.items() if not g.is_trivial}
-
-    diffs = {}
-    for q_src in (0, -1, -8, -9):
-        for p in range(p_max - 1):
-            src, tgt = (p, q_src), (p + 2, q_src - 1)
-            if src not in entries or tgt not in entries:
-                continue
-            if p < 2:
-                diffs[src] = zero_map(entries[src], entries[tgt])
-            elif q_src in (0, -8):
-                diffs[src] = _map_from_f2(entries[src], entries[tgt],
-                                          sq2_integral(space))
-            else:
-                diffs[src] = _map_from_f2(entries[src], entries[tgt], space.sq2)
-    return BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL,
-                        differentials=diffs)
+    """KO-theory E2-page, one Bott window of rows, with d2 installed."""
+    return _ahss_page(space, KO_POINT, -10)
 
 
 def _ko_known_zero(p_max: int):
@@ -371,26 +371,15 @@ def _ko_known_zero(p_max: int):
 
 def ahss_ko(space) -> EInfinityReport:
     p_max = 2 * space.dim
-    return run_to_stable(
-        ahss_ko_page(space),
-        ((0, p_max), (-10, 0)),
-        known_zero=_ko_known_zero(p_max),
-    )
+    return run_to_stable(ahss_ko_page(space), ((0, p_max), (-10, 0)),
+                         known_zero=_ko_known_zero(p_max))
 
 
 def ahss_k_page(space) -> BigradedPage:
-    """K-theory E2-page: H^p(Z) in even rows, no differentials to install.
-
-    d2 lands in odd rows and vanishes; d3 vanishes on degree <= 1 classes and
-    its p = 2 source would land beyond the dimension, so the page collapses.
-    """
-    p_max = 2 * space.dim
-    entries = {}
-    for q in (0, -2, -4):
-        for p in range(p_max + 1):
-            entries[(p, q)] = singular_h(space, p, INTEGRAL)
-    entries = {pos: g for pos, g in entries.items() if not g.is_trivial}
-    return BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL)
+    """K-theory E2-page: H^p(Z) in the even rows. No Z/2 row means no d2; d3
+    vanishes on degree <= 1 classes and its p = 2 source would land beyond
+    the dimension, so the page collapses."""
+    return _ahss_page(space, K_POINT, -4)
 
 
 def _k_known_zero(p_max: int):
@@ -400,8 +389,5 @@ def _k_known_zero(p_max: int):
 
 def ahss_k(space) -> EInfinityReport:
     p_max = 2 * space.dim
-    return run_to_stable(
-        ahss_k_page(space),
-        ((0, p_max), (-4, 0)),
-        known_zero=_k_known_zero(p_max),
-    )
+    return run_to_stable(ahss_k_page(space), ((0, p_max), (-4, 0)),
+                         known_zero=_k_known_zero(p_max))

@@ -43,7 +43,7 @@ from .spaces import (
     singular_h,
     sq2_integral,
 )
-from .specseq import ahss_ko
+from .specseq import KO_POINT as _KO_POINT, ahss_ko
 from .witt import ODD_TWIST, TRIVIAL_TWIST, cancel_point, check_twist, w
 
 
@@ -57,7 +57,6 @@ def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
 # ---------------------------------------------------------------------------
 # KO tables
 
-_KO_POINT = (Z, TRIVIAL, TRIVIAL, TRIVIAL, Z, TRIVIAL, Z2, Z2)
 # KO^n/rK^n of a point: r is 2 on KO^0 and onto KO^4 and KO^6; K^7 = 0
 _KO_MOD_RK_POINT = (Z2, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, Z2)
 _KOK_POINT = _KO_MOD_RK_POINT[::2]

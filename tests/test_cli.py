@@ -347,10 +347,20 @@ def test_usage_errors_exit_one():
         ("compute", "--space", "catalog:p1", "--all", "--theory", "w"),
         ("specseq", "--space", "catalog:p1", "--engine", "bogus"),
     ]
+    # an integer flag takes the canonical decimal spelling only
+    for value in ("0_1", "+1", "01", "\u0661", " 3", "-0", "abc"):
+        bad.append(("compute", "--space", "catalog:p1", "--theory", "w",
+                    "--shift", value))
+        bad.append(("compute", "--space", "catalog:p1", "--theory", "ko",
+                    "--degree", value))
+        bad.append(("sw", "--ring", "projective?d=2", "--rank", value))
     for argv in bad:
         code, _, err = go(*argv)
         assert code == 1, argv
         assert err.startswith("error"), argv
+    # the refusal reads as argparse's own for a value it never took
+    assert go("sw", "--ring", "projective?d=2", "--rank", "0_2")[2] \
+        == "error: argument --rank: invalid int value: '0_2'\n"
 
 
 def test_twist_errors_exit_one():

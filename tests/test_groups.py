@@ -274,10 +274,9 @@ def reference_snf(m, rows: int | None = None, cols: int | None = None):
 
 
 # The homology routine as it stood before the F2-rank and free-kernel
-# shortcuts, copied verbatim (only renamed). It is the integer route those
-# shortcuts skip, so the current routine must give the same group, or raise
-# the same exception, on every pair of maps.
-_require_absent = groups._require_absent
+# shortcuts, copied verbatim (only renamed, divisible guard dropped). It is
+# the integer route those shortcuts skip, so the current routine must give
+# the same group, or raise the same exception, on every pair of maps.
 
 
 def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
@@ -288,9 +287,7 @@ def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     composite must be zero. Zero image columns add no relation, and a zero g
     makes every element a cycle, so it costs no nullspace.
     """
-    for m in (f, g):
-        if m is not None:
-            _require_absent(m)
+    # no divisible guard: GroupMap refuses a divisible summand on either side
     if f is not None and g is not None and not composite_is_zero(f, g):
         raise ValueError("homology undefined: composite is not zero")
     b = f.codomain if f is not None else g.domain
@@ -313,15 +310,16 @@ def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
 
 
 # The cokernel projection as it stood before the F2 route into elementary
-# 2-groups, copied verbatim (only renamed). That route must give the same
-# cokernel group and a valid projection; its projection may differ, because
-# U depends on integer entries that an F2 reduction cannot see.
+# 2-groups, copied verbatim (only renamed, divisible guard dropped). That
+# route must give the same cokernel group and a valid projection; its
+# projection may differ, because U depends on integer entries that an F2
+# reduction cannot see.
 _smith, _column = groups._smith, groups._column
 
 
 def reference_cokernel_map(f: GroupMap):
     """Cokernel together with the canonical projection from the codomain."""
-    _require_absent(f)
+    # no divisible guard: GroupMap refuses a divisible summand on either side
     b = f.codomain
     n = b.ngens
     rel = tuple(
@@ -954,24 +952,33 @@ def test_map_well_definedness():
 
 
 def test_divisible_behavior_rules():
+    # a divisible summand on the domain, the codomain or both is refused
     d = divisible(2)
+    for a, b in ((d, TRIVIAL), (Z2, d), (d, d), (direct_sum(Z, d), Z)):
+        with pytest.raises(UnsupportedDivisibleMap):
+            zero_map(a, b)
     with pytest.raises(UnsupportedDivisibleMap):
-        GroupMap(d, d, (), divisible_behavior="absent")
-    zero_map(d, TRIVIAL, divisible_behavior="zero")
-    zero_map(d, divisible(3), divisible_behavior="torsion-inclusion")
-    with pytest.raises(UnsupportedDivisibleMap):
-        zero_map(d, divisible(1), divisible_behavior="torsion-inclusion")
-    with pytest.raises(ValueError):
-        zero_map(Z, Z, divisible_behavior="sideways")
+        GroupMap(d, d, ())
+    # the map has no setting for how a divisible summand is carried
+    for behavior in ("absent", "zero", "torsion-inclusion"):
+        with pytest.raises(TypeError):
+            GroupMap(Z, Z, ((1,),), divisible_behavior=behavior)
+        with pytest.raises(TypeError):
+            zero_map(Z, Z, divisible_behavior=behavior)
 
 
 def test_finitely_generated_ops_reject_divisible_maps():
-    f = zero_map(divisible(1), divisible(1), divisible_behavior="zero")
-    for op in (kernel, cokernel, image_rank2):
-        with pytest.raises(UnsupportedDivisibleMap):
-            op(f)
+    # no operation can be handed a map with a divisible side: none is built
+    d = divisible(1)
     with pytest.raises(UnsupportedDivisibleMap):
-        check_exact([f, f])
+        identity_map(d)
+    with pytest.raises(UnsupportedDivisibleMap):
+        GroupMap(direct_sum(Z2, d), direct_sum(Z2, d), ((1,),))
+    with pytest.raises(UnsupportedDivisibleMap):
+        GroupMap(Z, direct_sum(Z, d), ((1,),))
+    f = GroupMap(Z2, Z2, ((1,),))
+    assert kernel(f).is_trivial and cokernel(f).is_trivial and image_rank2(f) == 1
+    assert check_exact([f, zero_map(Z2, TRIVIAL)]).ok
 
 
 # ---------------------------------------------------------------------------
@@ -1186,8 +1193,7 @@ def fitted_entry(x, d, e):
 def drawn_maps(draw, a, b, shape, columns=None):
     """A map a -> b with entries drawn from {0, +-1, +-2, +-3} and fitted to
     the generator orders, or with its columns drawn from ``columns``.
-    ``shape`` is one of MAP_SHAPES. One map in ten is declared with
-    divisible_behavior="zero"."""
+    ``shape`` is one of MAP_SHAPES."""
     cell = st.sampled_from((0, 1, -1, 2, -2, 3, -3))
     cols = []
     for d in generator_orders(a):
@@ -1198,9 +1204,7 @@ def drawn_maps(draw, a, b, shape, columns=None):
         if shape == "zero" or (shape == "zero-columns" and draw(st.booleans())):
             col = [0] * b.ngens
         cols.append(col)
-    behavior = draw(st.sampled_from(("absent",) * 9 + ("zero",)))
-    return GroupMap(a, b, tuple(tuple(col[i] for col in cols) for i in range(b.ngens)),
-                    divisible_behavior=behavior)
+    return GroupMap(a, b, tuple(tuple(col[i] for col in cols) for i in range(b.ngens)))
 
 
 def cycle_columns(g):
