@@ -7,206 +7,128 @@ or fetch one from the catalog, then ask for ``witt_table``, ``ko_table``, or
 generated group arithmetic, characteristic class rings) backs those three.
 """
 
-from .catalog import CatalogEntry, catalog_get, catalog_instances, catalog_list
-from .compare import (
-    ComparisonReport,
-    ShiftRow,
-    compare_w_kok,
-    pic_surjective,
-    report_from_json,
-    report_to_json,
-    s1_vs_sq2z,
-)
-from .errors import (
-    DegreeOutOfRange,
-    InconsistentDescriptor,
-    MalformedPage,
-    NoSuchTwist,
-    RenderParseError,
-    RingMismatch,
-    ShapeMismatch,
-    TruncationError,
-    UnknownName,
-    UnsupportedDivisibleMap,
-    UnsupportedTwist,
-    WittkitError,
-)
-from .groups import (
-    ExactnessReport,
-    GroupMap,
-    SymGroup,
-    check_exact,
-    cokernel,
-    cyclic,
-    direct_sum,
-    direct_sum_all,
-    divisible,
-    elementary_two,
-    free,
-    kernel,
-    mod2,
-    mod2_rank,
-    parse_group,
-    render,
-    snf,
-    two_torsion,
-)
-from .spaces import (
-    INTEGRAL,
-    MOD2,
-    SpaceDescriptor,
-    betti,
-    descriptor_from_json,
-    descriptor_to_json,
-    etale_h,
-    make_curve,
-    make_point,
-    make_surface,
-    picard,
-    singular_h,
-)
-from .specseq import (
-    BigradedPage,
-    EInfinityReport,
-    ahss_k,
-    ahss_ko,
-    pardon_e2,
-    pardon_stable,
-    run_to_stable,
-    turn_page,
-)
-from .topko import (
-    KoTable,
-    Mod2Ranks,
-    QlReport,
-    eta_iso_check,
-    k1_two_torsion,
-    k_top_graded,
-    ko_curve,
-    ko_point,
-    ko_table,
-    kok,
-    mod2_ranks,
-    ql_hermitian_verdict,
-    topko_json_payload,
-)
-from .witt import (
-    FHImage,
-    KaroubiReport,
-    RingContext,
-    TruncatedClass,
-    WittTable,
-    curve_symplectic_ring,
-    fh_image,
-    generic_sw_ring,
-    gw_curve,
-    gw_point,
-    karoubi_check,
-    projective_space_ring,
-    sw_metabolic_total,
-    sw_whitney_product,
-    w0_graded_surface,
-    w_curve,
-    w_point,
-    w_surface,
-    witt_json_payload,
-    witt_table,
-)
+from . import catalog, compare, errors, groups, spaces, specseq, topko, witt
+
+# each public name once, under the module that defines it. The modules are
+# imported eagerly, so a tracer that wraps the functions of loaded modules
+# sees every public name.
+_EXPORTS = {
+    catalog: (
+        "CatalogEntry",
+        "catalog_get",
+        "catalog_instances",
+        "catalog_list",
+    ),
+    compare: (
+        "ComparisonReport",
+        "ShiftRow",
+        "compare_w_kok",
+        "report_from_json",
+        "report_to_json",
+        "s1_vs_sq2z",
+    ),
+    errors: (
+        "DegreeOutOfRange",
+        "InconsistentDescriptor",
+        "MalformedPage",
+        "NoSuchTwist",
+        "RenderParseError",
+        "RingMismatch",
+        "ShapeMismatch",
+        "TruncationError",
+        "UnknownName",
+        "UnsupportedDivisibleMap",
+        "UnsupportedTwist",
+        "WittkitError",
+    ),
+    groups: (
+        "ExactnessReport",
+        "GroupMap",
+        "SymGroup",
+        "check_exact",
+        "cokernel",
+        "cyclic",
+        "direct_sum",
+        "direct_sum_all",
+        "divisible",
+        "elementary_two",
+        "free",
+        "kernel",
+        "mod2",
+        "mod2_rank",
+        "parse_group",
+        "render",
+        "snf",
+        "two_torsion",
+    ),
+    spaces: (
+        "INTEGRAL",
+        "MOD2",
+        "SpaceDescriptor",
+        "betti",
+        "descriptor_from_json",
+        "descriptor_to_json",
+        "etale_h",
+        "make_curve",
+        "make_point",
+        "make_surface",
+        "pic_surjective",
+        "picard",
+        "singular_h",
+    ),
+    specseq: (
+        "BigradedPage",
+        "EInfinityReport",
+        "ahss_k",
+        "ahss_ko",
+        "pardon_e2",
+        "pardon_stable",
+        "run_to_stable",
+        "turn_page",
+    ),
+    topko: (
+        "KoTable",
+        "Mod2Ranks",
+        "QlReport",
+        "eta_iso_check",
+        "k1_two_torsion",
+        "k_top_graded",
+        "ko_curve",
+        "ko_point",
+        "ko_table",
+        "kok",
+        "mod2_ranks",
+        "ql_hermitian_verdict",
+        "topko_json_payload",
+    ),
+    witt: (
+        "FHImage",
+        "KaroubiReport",
+        "RingContext",
+        "TruncatedClass",
+        "WittTable",
+        "curve_symplectic_ring",
+        "fh_image",
+        "generic_sw_ring",
+        "gw_curve",
+        "gw_point",
+        "karoubi_check",
+        "projective_space_ring",
+        "sw_metabolic_total",
+        "sw_whitney_product",
+        "w0_graded_surface",
+        "w_curve",
+        "w_point",
+        "w_surface",
+        "witt_json_payload",
+        "witt_table",
+    ),
+}
+
+for _module, _names in _EXPORTS.items():
+    globals().update((name, getattr(_module, name)) for name in _names)
+del _module, _names
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BigradedPage",
-    "CatalogEntry",
-    "ComparisonReport",
-    "DegreeOutOfRange",
-    "EInfinityReport",
-    "ExactnessReport",
-    "FHImage",
-    "GroupMap",
-    "INTEGRAL",
-    "InconsistentDescriptor",
-    "KaroubiReport",
-    "KoTable",
-    "MOD2",
-    "MalformedPage",
-    "Mod2Ranks",
-    "NoSuchTwist",
-    "QlReport",
-    "RenderParseError",
-    "RingContext",
-    "RingMismatch",
-    "ShapeMismatch",
-    "ShiftRow",
-    "SpaceDescriptor",
-    "SymGroup",
-    "TruncatedClass",
-    "TruncationError",
-    "UnknownName",
-    "UnsupportedDivisibleMap",
-    "UnsupportedTwist",
-    "WittTable",
-    "WittkitError",
-    "ahss_k",
-    "ahss_ko",
-    "betti",
-    "catalog_get",
-    "catalog_instances",
-    "catalog_list",
-    "check_exact",
-    "cokernel",
-    "compare_w_kok",
-    "curve_symplectic_ring",
-    "cyclic",
-    "descriptor_from_json",
-    "descriptor_to_json",
-    "direct_sum",
-    "direct_sum_all",
-    "divisible",
-    "elementary_two",
-    "eta_iso_check",
-    "etale_h",
-    "fh_image",
-    "free",
-    "generic_sw_ring",
-    "gw_curve",
-    "gw_point",
-    "k1_two_torsion",
-    "k_top_graded",
-    "karoubi_check",
-    "kernel",
-    "ko_curve",
-    "ko_point",
-    "ko_table",
-    "kok",
-    "make_curve",
-    "make_point",
-    "make_surface",
-    "mod2",
-    "mod2_rank",
-    "mod2_ranks",
-    "pardon_e2",
-    "pardon_stable",
-    "parse_group",
-    "pic_surjective",
-    "picard",
-    "projective_space_ring",
-    "ql_hermitian_verdict",
-    "render",
-    "report_from_json",
-    "report_to_json",
-    "run_to_stable",
-    "s1_vs_sq2z",
-    "singular_h",
-    "snf",
-    "sw_metabolic_total",
-    "sw_whitney_product",
-    "turn_page",
-    "two_torsion",
-    "w0_graded_surface",
-    "w_curve",
-    "w_point",
-    "w_surface",
-    "witt_json_payload",
-    "witt_table",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

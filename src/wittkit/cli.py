@@ -235,6 +235,8 @@ def _build_ring(text: str):
 
 
 def _cmd_sw(args) -> int:
+    if args.rank < 0:
+        raise _UsageError("--rank must be at least 0")
     ring = _build_ring(args.ring)
     chern = [ring.unit()]
     if args.chern:

@@ -263,8 +263,7 @@ def picard_image_matrix(space: SpaceDescriptor) -> Matrix:
 
 def sq2_integral(space: SpaceDescriptor) -> Matrix:
     """Sq2 restricted to the image of H^2(Z) inside H^2(Z/2), as an F2 matrix
-    on the mod-2 reduction of H^2(Z)."""
-    require_kind(space, "surface")
+    on the mod-2 reduction of H^2(Z); it has no rows below dimension two."""
     return f2_mul(space.sq2, space.pi2)
 
 

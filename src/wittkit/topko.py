@@ -3,14 +3,14 @@
 A point or a curve is stably a wedge of spheres, b_p copies of S^p (an
 affine curve is a wedge of circles; the top cell of a projective one is
 attached by a product of commutators, which is stably null). So KO^n is the
-sum of b_p copies of KO^(n-p) of a point, and, as realification r: K -> KO
-is a map of spectra, untwisted KO^n/K is the same sum over the point's
-KO^n/rK^n: Z/2 at n = 0 and 7 (mod 8), zero elsewhere. The twisted curve
-row of KO/K is written by hand, as the Thom space of O(p) is not a wedge.
-KO/K of a surface is a direct sum of its graded pieces. r followed by
-complexification is multiplication by 2, so every quotient has exponent
-two. Odd KO totals of surfaces are never emitted: the quotient formulas do
-not need them.
+sum of b_p copies of KO^(n-p) of a point. KO/K of every space is one rank
+formula over cell data: the integral cohomology H^0..H^4 and the rank of
+Sq2 from H^2(Z)/2 to H^4(Z/2), read off the Atiyah-Hirzebruch page.
+Realification followed by complexification is multiplication by 2, so every
+quotient has exponent two, and the formula counts its Z/2 summands. A curve
+twisted by O(p) is read off the Thom space of O(p), whose Sq2 is onto its
+top cell by Wu's formula. Odd KO totals of surfaces are never emitted: the
+quotient formulas do not need them.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from .errors import DegreeOutOfRange, InvariantViolation
 from .groups import (
     TRIVIAL,
     Z,
-    Z2,
     SymGroup,
     cancel,
-    direct_sum,
-    direct_sum_all,
     elementary_two,
-    exponent_two,
+    even_count,
     f2_rank,
     mod2_rank,
     render,
@@ -35,7 +32,6 @@ from .groups import (
 )
 from .spaces import (
     INTEGRAL,
-    MOD2,
     SpaceDescriptor,
     betti,
     pic_surjective,
@@ -57,17 +53,13 @@ def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
 # ---------------------------------------------------------------------------
 # KO tables
 
-# KO^n/rK^n of a point: r is 2 on KO^0 and onto KO^4 and KO^6; K^7 = 0
-_KO_MOD_RK_POINT = (Z2, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, Z2)
-_KOK_POINT = _KO_MOD_RK_POINT[::2]
 
-
-def _wedge(point_table, space: SpaceDescriptor, n: int) -> SymGroup:
-    """The sum over p of b_p copies of ``point_table[n - p]``, for a point or
-    a curve; the entries of an eight-periodic point table are Z, Z/2 or 0."""
+def _wedge(space: SpaceDescriptor, n: int) -> SymGroup:
+    """KO^n of a point or a curve: the sum over p of b_p copies of KO^(n-p)
+    of a point, whose entries are Z, Z/2 or 0."""
     free_rank = twos = 0
     for p, b in enumerate(betti(space)):
-        g = point_table[(n - p) % 8]
+        g = _KO_POINT[(n - p) % 8]
         free_rank += b * g.free_rank
         twos += b * len(g.torsion)
     return SymGroup(free_rank, (2,) * twos, 0)
@@ -80,7 +72,7 @@ def ko_point(d: int) -> SymGroup:
 def ko_curve(space: SpaceDescriptor, d: int) -> SymGroup:
     """KO^d of the underlying complex of a smooth curve."""
     require_kind(space, "curve")
-    return _wedge(_KO_POINT, space, d)
+    return _wedge(space, d)
 
 
 def ko_curve_reduced(space: SpaceDescriptor, d: int) -> SymGroup:
@@ -92,20 +84,27 @@ def ko_curve_reduced(space: SpaceDescriptor, d: int) -> SymGroup:
 # KO/K quotients
 
 
-def _kok_surface(space: SpaceDescriptor, i: int) -> SymGroup:
-    sq = sq2_integral(space)
-    r = f2_rank(sq)
+def _kok_count(h_int: tuple, sq2_rank: int, i: int) -> int:
+    """Number of Z/2 summands of KO^2i/K of a complex of dimension at most
+    four, from its integral cohomology H^0.. (missing degrees count as 0) and
+    the rank of Sq2 from H^2(Z)/2 to H^4(Z/2)."""
+    h = h_int + (TRIVIAL,) * (6 - len(h_int))
+
+    def h_mod2(p):  # rank of H^p(Z/2), by universal coefficients
+        return mod2_rank(h[p]) + even_count(h[p + 1])
+
+    i %= 4
     if i == 0:
-        image_defect = _h(space, 2, MOD2).ngens - f2_rank(space.pi2)
-        return direct_sum_all(
-            [Z2, _h(space, 1, MOD2), elementary_two(image_defect)]
-        )
+        # the torsion of H^3 counts the cokernel of H^2(Z)/2 -> H^2(Z/2)
+        return 1 + h_mod2(1) + even_count(h[3])
     if i == 1:
-        kernel_rank = mod2_rank(_h(space, 2, INTEGRAL)) - r
-        return direct_sum(elementary_two(kernel_rank), _h(space, 3, MOD2))
+        return mod2_rank(h[2]) - sq2_rank + h_mod2(3)
     if i == 2:
-        return elementary_two(_h(space, 4, MOD2).ngens - r)
-    return TRIVIAL
+        return h_mod2(4) - sq2_rank
+    return 0
+
+
+_KOK_POINT = tuple(elementary_two(_kok_count((Z,), 0, i)) for i in range(4))
 
 
 def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -114,14 +113,14 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
         raise DegreeOutOfRange("KO/K quotients live in even shifts only")
     tw = check_twist(space, twist)
     i = (shift % 8) // 2
-    if space.kind == "surface":
-        g = _kok_surface(space, i)
-    elif tw == ODD_TWIST:
-        # the Thom space of O(p) is not a wedge: Z/2 counts for i = 0..3
-        g = elementary_two((betti(space)[1], 0, 0, 0)[i])
+    if tw == ODD_TWIST:
+        # KO^n(C; L) is the reduced KO^(n+2) of the Thom space of L; by Wu's
+        # formula Sq2 of its Thom class is w2(L) = deg L mod 2, the top class
+        thom = (Z, TRIVIAL) + space.h_int_table
+        count = _kok_count(thom, 1, i + 1) - _kok_count((Z,), 0, i + 1)
     else:
-        g = _wedge(_KO_MOD_RK_POINT, space, 2 * i)
-    return exponent_two(g)
+        count = _kok_count(space.h_int_table, f2_rank(sq2_integral(space)), i)
+    return elementary_two(count)
 
 
 def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -167,7 +166,7 @@ def eta_iso_check(space: SpaceDescriptor) -> bool:
         quotient = kok(space, 2 * i)
         d = (2 * i - 1) % 8
         if rep is None:
-            ok = quotient == two_torsion(_wedge(_KO_POINT, space, d))
+            ok = quotient == two_torsion(_wedge(space, d))
         else:
             td = _KO_DEGREE_READ[d]
             if td in rep.unknown_degrees:
@@ -257,14 +256,15 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     """All emitted topological groups of one descriptor.
 
     KO totals are filled for the point and untwisted curves; twisted curves
-    and surfaces carry None in all eight slots (twisted totals would need the
-    Thom-space model, surface odd totals an undetermined differential).
+    and surfaces carry None in all eight slots (the Thom space of O(p) is not
+    a wedge, so its KO totals are not emitted; surface odd totals need an
+    undetermined differential).
     """
     tw = check_twist(space, twist)
     if space.kind == "surface" or tw == ODD_TWIST:
         ko = ko_red = (None,) * 8
     else:
-        ko = tuple(_wedge(_KO_POINT, space, d) for d in range(8))
+        ko = tuple(_wedge(space, d) for d in range(8))
         ko_red = tuple(cancel(g, ko_point(d)) for d, g in enumerate(ko))
     kok_row = tuple(kok(space, 2 * i, tw) for i in range(4))
     return KoTable(

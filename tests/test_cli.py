@@ -272,6 +272,13 @@ def test_sw_ring_grammar_errors():
         assert (code, out) == (1, ""), text
         assert err.startswith("error") and bound in err, (text, err)
         assert "Traceback" not in err, text
+    # a negative bundle rank is refused by its own range, on every ring
+    for text, rank in (("projective?d=2", "-1"), ("generic?rank=3", "-1"),
+                       ("curve?g=1", "-3")):
+        code, out, err = go("sw", "--ring", text, "--rank", rank)
+        assert (code, out, err) == (1, "", "error: --rank must be at least 0\n"), text
+    code, out, _ = go("sw", "--ring", "projective?d=2", "--rank", "0")
+    assert (code, json.loads(out)["total"]) == (0, ["1", "0", "0", "0", "0"]), out
 
 
 def test_sw_largest_rings_are_fast():

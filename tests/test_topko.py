@@ -30,7 +30,7 @@ from wittkit.groups import (
     mod2_rank,
     two_torsion,
 )
-from wittkit.spaces import betti, make_curve, make_point
+from wittkit.spaces import betti, make_curve, make_point, make_surface
 from wittkit.specseq import ahss_k, ahss_ko
 from wittkit.topko import (
     KoTable,
@@ -256,6 +256,25 @@ def test_k1_two_torsion():
 
 # ---------------------------------------------------------------------------
 # eta lemma and mod-2 ranks
+
+
+def thom_space_of_odd_bundle(g):
+    """The Thom space of an odd-degree line bundle on a genus-g curve: cells
+    in dimensions 0, 2, 3 (2g of them) and 4. By Wu's formula Sq2 u = w2(L) u
+    for the Thom class u, and w2(L) = deg L mod 2 is the top class."""
+    return make_surface(False, [Z, TRIVIAL, Z, free(2 * g), Z], 0, 1, 1, [[1]], [[1]])
+
+
+def test_twisted_curve_kok_is_the_reduced_kok_of_the_thom_space():
+    # KO^n(C; L) = reduced KO^(n+2)(Th L); ahss_ko and eta_iso_check read the
+    # Thom space off its own page, independently of the twisted curve row
+    for g in range(61):
+        thom = thom_space_of_odd_bundle(g)
+        assert not ahss_ko(thom).unknown_degrees, g
+        assert eta_iso_check(thom), g
+        curve = make_curve(True, g)
+        for i in range(4):
+            assert kok_reduced(thom, 2 * i + 2) == kok(curve, 2 * i, "O(p)"), (g, i)
 
 
 @pytest.mark.parametrize(
