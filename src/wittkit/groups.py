@@ -314,6 +314,8 @@ def cyclic(n: int) -> SymGroup:
 
 
 def elementary_two(rank: int) -> SymGroup:
+    if rank < 0:
+        raise ValueError("negative rank in SymGroup")
     return SymGroup(torsion=(2,) * rank)
 
 

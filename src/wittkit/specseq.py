@@ -23,8 +23,8 @@ from .groups import (
     GroupMap,
     SymGroup,
     composite_is_zero,
-    direct_sum_all,
     elementary_two,
+    exponent_two,
     f2_rank,
     homology_at,
     is_elementary_two,
@@ -161,12 +161,15 @@ class EInfinityReport:
         return tuple(g for _, _, g in self.degrees.get(degree, ()))
 
     def resolved_group(self, degree: int):
-        """The abutment in one degree, or None when it cannot be assembled."""
+        """The abutment in one degree, or None when it cannot be assembled. Several
+        pieces resolve only as elementary 2-groups, so they add up as a count."""
         resolved = self.extension_resolved.get(degree, True)
         if degree in self.unknown_degrees or not resolved:
             return None
         pieces = self.pieces(degree)
-        return pieces[0] if len(pieces) == 1 else direct_sum_all(pieces)
+        if len(pieces) == 1:
+            return pieces[0]
+        return elementary_two(sum(exponent_two(g).ngens for g in pieces))
 
 
 def run_to_stable(

@@ -30,7 +30,6 @@ from .groups import (
     cokernel_map,
     composite_is_zero,
     direct_sum,
-    direct_sum_all,
     divisible,
     elementary_two,
     exponent_two,
@@ -140,14 +139,14 @@ def w0_graded_surface(space: SpaceDescriptor):
 
 
 def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
+    """W^i of a surface, an F2-vector space: elementary_two of one count."""
     require_kind(space, "surface")
     s1_rank = f2_rank(space.s1)
     i %= 4
     if i == 0:
-        g = direct_sum_all(w0_graded_surface(space))
+        g = elementary_two(sum(p.ngens for p in w0_graded_surface(space)))
     elif i == 1:
-        g = direct_sum(elementary_two(space.rho + space.nu - s1_rank),
-                       etale_h(space, 3))
+        g = elementary_two(space.rho + space.nu - s1_rank + etale_h(space, 3).ngens)
     elif i == 2:
         g = elementary_two(space.ch2_mod2_rank - s1_rank)
     else:

@@ -27,7 +27,7 @@ from wittkit import cli
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.cli import main, run
 from wittkit.compare import compare_w_kok, report_to_json
-from wittkit.groups import elementary_two, render
+from wittkit.groups import Z2, cyclic, direct_sum, elementary_two, render
 from wittkit.spaces import descriptor_to_json, make_curve
 from wittkit.topko import ko_table
 from wittkit.witt import w_surface, witt_table
@@ -219,6 +219,23 @@ def test_specseq_k_never_has_unknowns():
     for name in ("p1", "curve?g=2", "enriques", "k3?rho=0"):
         _, out, _ = go("specseq", "--space", "catalog:" + name, "--engine", "k")
         assert json.loads(out)["unknown"] == []
+
+
+def test_surface_and_batch_commands_run_no_elimination(eliminations):
+    # every surface group and every engine column is a count, and so is every
+    # row the batch commands print; eliminations are counted at groups._smith
+    surfaces = [name for name in catalog_instances()
+                if catalog_get(name).descriptor.kind == "surface"]
+    argvs = [("specseq", "--space", "catalog:" + name, "--engine", engine)
+             for name in surfaces for engine in ("pardon", "ko", "k")]
+    argvs += [("compute", "--all", "--theory", theory) for theory in ("witt", "w", "kok")]
+    argvs += [("compare", "--all")]
+    for argv in argvs:
+        code, _, _ = go(*argv)
+        assert (code, len(eliminations)) == (0, 0), argv
+    # the counter sees an elimination where one runs
+    direct_sum(Z2, cyclic(4))
+    assert len(eliminations) == 1
 
 
 # ---------------------------------------------------------------------------

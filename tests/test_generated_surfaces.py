@@ -8,12 +8,16 @@ engines, and the comparison, eta and hermitian verdicts must follow from
 rho = b2 and the 2-rank nu of the torsion alone. The non-projective strategy
 drops duality: b1 and b3 and the torsion of H^2 and H^3 are drawn apart, and
 H^4 is Z or 0. On both, KO/K must equal ``reference_kok``, the surface
-formula as it stood before KO/K was read off cell counts.
+formula as it stood before KO/K was read off cell counts, and W and every
+engine's resolved groups must equal ``reference_w_surface`` and
+``reference_resolved_group``, the direct-sum assembly W had before it was
+read off summand counts.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_curve_rows import assert_kok_matches_reference
+from test_surface_rows import assert_w_matches_reference
 
 from wittkit.compare import SURFACE_ISO, compare_w_kok
 from wittkit.groups import TRIVIAL, Z, SymGroup, even_count, mod2_rank
@@ -95,3 +99,15 @@ def test_generated_open_surfaces_match_the_engines(drawn):
     # exactly when H^3 does
     assert eta_iso_check(space) == (nt3 == 0)
     assert_kok_matches_reference(space)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(projective_surfaces())
+def test_generated_surfaces_match_the_reference_w(drawn):
+    assert_w_matches_reference(drawn[0])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(open_surfaces())
+def test_generated_open_surfaces_match_the_reference_w(drawn):
+    assert_w_matches_reference(drawn[0])

@@ -672,6 +672,17 @@ def test_constructors_refuse_what_is_not_an_int(build):
         build()
 
 
+@pytest.mark.parametrize("build", [free, elementary_two, divisible],
+                         ids=["free", "elementary_two", "divisible"])
+def test_rank_constructors_refuse_a_negative_rank(build):
+    # every W and KO/K group is elementary_two of a count, so a miscount
+    # must fail here instead of printing 0
+    assert build(0) == TRIVIAL
+    for rank in (-1, -2):
+        with pytest.raises(ValueError):
+            build(rank)
+
+
 def test_constructors_keep_ints_and_turn_lists_into_tuples():
     assert cyclic(0) == Z and cyclic(1) == TRIVIAL and cyclic(6) == SymGroup(0, (6,))
     f = GroupMap(free(2), Z, [[1, -3]])
