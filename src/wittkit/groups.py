@@ -22,7 +22,8 @@ Matrix convention: a matrix is a tuple of row tuples of exact ints, and
 ``GroupMap`` refuses any other entry, as ``SymGroup`` refuses a rank or an
 invariant factor that is not an int. An m-by-0 matrix is ``((),) * m`` and
 a 0-by-n matrix is ``()``; functions that cannot infer a dimension from the
-data take it explicitly.
+data take it explicitly. Tuples are built from lists: a tuple built from a
+generator is resized, never reusing a freed one, so CPython's free lists fill.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ Matrix = tuple
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
 def transpose(m, cols: int | None = None) -> Matrix:
     nc = cols if cols is not None else (len(m[0]) if m else 0)
-    return tuple(tuple(row[i] for row in m) for i in range(nc))
+    return tuple([tuple([row[i] for row in m]) for i in range(nc)])
 
 
 def mat_mul(a, b, b_cols: int | None = None) -> Matrix:
@@ -58,14 +59,14 @@ def mat_mul(a, b, b_cols: int | None = None) -> Matrix:
     nc = b_cols if b_cols is not None else (len(b[0]) if b else 0)
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatch("inner dimensions disagree: %d vs %d" % (len(a[0]), len(b)))
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(nc))
+    return tuple([
+        tuple([sum(row[k] * b[k][j] for k in range(len(b))) for j in range(nc)])
         for row in a
-    )
+    ])
 
 
 def _column(m, j: int, nrows: int):
-    return tuple(m[i][j] for i in range(nrows))
+    return tuple([m[i][j] for i in range(nrows)])
 
 
 def _swap_rows(a, u, i, j):
@@ -193,7 +194,7 @@ def snf_diagonal(m, rows: int | None = None, cols: int | None = None):
     nr = rows if rows is not None else len(m)
     nc = cols if cols is not None else (len(m[0]) if m else 0)
     _, s, _ = _smith(m, nr, nc, False, False)
-    return tuple(s[i][i] for i in range(min(nr, nc)))
+    return tuple([s[i][i] for i in range(min(nr, nc))])
 
 
 def nullspace(m, rows: int | None = None, cols: int | None = None):
@@ -205,11 +206,8 @@ def nullspace(m, rows: int | None = None, cols: int | None = None):
     nc = cols if cols is not None else (len(m[0]) if m else 0)
     _, s, v = _smith(m, nr, nc, False, True)
     k = min(nr, nc)
-    return tuple(
-        tuple(v[i][j] for i in range(nc))
-        for j in range(nc)
-        if j >= k or s[j][j] == 0
-    )
+    return tuple([tuple([v[i][j] for i in range(nc)])
+                  for j in range(nc) if j >= k or s[j][j] == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +236,7 @@ def f2_rank(m) -> int:
 
 
 def f2_mul(a, b, b_cols: int | None = None) -> Matrix:
-    return tuple(tuple(x % 2 for x in row) for row in mat_mul(a, b, b_cols))
+    return tuple([tuple([x % 2 for x in row]) for row in mat_mul(a, b, b_cols)])
 
 
 def f2_is_zero(m) -> bool:
@@ -326,16 +324,16 @@ def divisible(two_torsion_rank: int) -> SymGroup:
 def relation_rows(g: SymGroup) -> Matrix:
     """Presentation relations on the canonical generators (free gens first)."""
     n = g.ngens
-    return tuple(
-        tuple(d if j == g.free_rank + i else 0 for j in range(n))
+    return tuple([
+        tuple([d if j == g.free_rank + i else 0 for j in range(n)])
         for i, d in enumerate(g.torsion)
-    )
+    ])
 
 
 def group_from_presentation(relations, generators: int) -> SymGroup:
-    rel = tuple(tuple(int(x) for x in row) for row in relations)
+    rel = tuple([tuple([int(x) for x in row]) for row in relations])
     diag = snf_diagonal(rel, len(rel), generators)
-    torsion = tuple(d for d in diag if d >= 2)
+    torsion = tuple([d for d in diag if d >= 2])
     nonzero = sum(1 for d in diag if d)
     return SymGroup(generators - nonzero, torsion, 0)
 
@@ -395,8 +393,8 @@ def even_count(g: SymGroup) -> int:
 
 def mod2_generators(g: SymGroup) -> tuple:
     """Canonical generators surviving in g/2g: the free and even-order ones."""
-    return tuple(j for j in range(g.ngens)
-                 if j < g.free_rank or g.torsion[j - g.free_rank] % 2 == 0)
+    return tuple([j for j in range(g.ngens)
+                  if j < g.free_rank or g.torsion[j - g.free_rank] % 2 == 0])
 
 
 def mod2(g: SymGroup) -> SymGroup:
@@ -497,7 +495,7 @@ class GroupMap:
     matrix: Matrix
 
     def __post_init__(self):
-        mat = tuple(tuple(row) for row in self.matrix)
+        mat = tuple([tuple(row) for row in self.matrix])
         object.__setattr__(self, "matrix", mat)
         if not all(isinstance(x, int) for row in mat for x in row):
             raise ValueError("GroupMap matrix entries must be ints")
@@ -514,7 +512,7 @@ class GroupMap:
         # the matrix must send domain relations into the codomain lattice
         for i, d in enumerate(self.domain.torsion):
             col = _column(mat, self.domain.free_rank + i, self.codomain.ngens)
-            if not _in_relation_lattice(tuple(d * c for c in col), self.codomain):
+            if not _in_relation_lattice([d * c for c in col], self.codomain):
                 raise ValueError(
                     "matrix does not respect relations: generator of order %d "
                     "has image of larger order" % d
@@ -532,8 +530,7 @@ def _in_relation_lattice(vec, g: SymGroup) -> bool:
 
 
 def zero_map(domain: SymGroup, codomain: SymGroup) -> GroupMap:
-    m = tuple(((0,) * domain.ngens) for _ in range(codomain.ngens))
-    return GroupMap(domain, codomain, m)
+    return GroupMap(domain, codomain, ((0,) * domain.ngens,) * codomain.ngens)
 
 
 def identity_map(g: SymGroup) -> GroupMap:
@@ -576,15 +573,13 @@ def cokernel_map(f: GroupMap):
                 row[q] = v >> i & 1
         coker = elementary_two(len(rows))
         return coker, GroupMap(b, coker, rows)
-    rel = tuple(
-        _column(f.matrix, j, n) for j in range(f.domain.ngens)
-    ) + relation_rows(b)
+    rel = tuple([_column(f.matrix, j, n) for j in range(f.domain.ngens)]) + relation_rows(b)
     u1, s1, _ = _smith(transpose(rel, n), n, len(rel), True, False)
     k = min(n, len(rel))
     free_idx = [i for i in range(n) if i >= k or s1[i][i] == 0]
     tor_idx = [i for i in range(k) if s1[i][i] >= 2]
-    coker = SymGroup(len(free_idx), tuple(s1[i][i] for i in tor_idx), 0)
-    proj = GroupMap(b, coker, tuple(u1[i] for i in free_idx + tor_idx))
+    coker = SymGroup(len(free_idx), tuple([s1[i][i] for i in tor_idx]), 0)
+    proj = GroupMap(b, coker, tuple([u1[i] for i in free_idx + tor_idx]))
     return coker, proj
 
 
@@ -598,8 +593,8 @@ def mod2_matrix(f: GroupMap) -> Matrix:
     An odd-order generator drops out: it maps to a class of odd order, whose
     even coordinates are 0 mod 2."""
     cols = mod2_generators(f.domain)
-    return tuple(tuple(f.matrix[i][j] % 2 for j in cols)
-                 for i in mod2_generators(f.codomain))
+    return tuple([tuple([f.matrix[i][j] % 2 for j in cols])
+                  for i in mod2_generators(f.codomain)])
 
 
 def image_rank2(f: GroupMap) -> int:
@@ -643,13 +638,13 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
         return elementary_two(
             n - sum(f2_rank(m.matrix) for m in (f, g) if m is not None))
     if b == Z:
-        col = () if g is None else tuple(row[0] for row in g.matrix)
+        col = () if g is None else tuple([row[0] for row in g.matrix])
         if any(col[:c.free_rank]):
             return TRIVIAL
         m = lcm(*(e // gcd(e, x) for e, x in zip(c.torsion, col[c.free_rank:])))
         return cyclic((0 if f is None else gcd(*f.matrix[0])) // m)
-    images = () if f is None else tuple(
-        col for col in transpose(f.matrix, f.domain.ngens) if any(col))
+    images = () if f is None else tuple([
+        col for col in transpose(f.matrix, f.domain.ngens) if any(col)])
     if not images and not b.torsion and c.free_rank == 0:
         return b  # a finite-index sublattice of Z^n is Z^n
     boundaries = images + relation_rows(b)
@@ -658,12 +653,12 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     # cycles: {x : g(x) lies in the codomain relation lattice}, spanned in
     # domain coordinates; the lattice always contains b's own relations
     relc = relation_rows(c)
-    stacked = tuple(g.matrix[i] + tuple(r[i] for r in relc) for i in range(c.ngens))
-    cycles = tuple(vec[:n] for vec in nullspace(stacked, c.ngens, n + len(relc)))
+    stacked = tuple([g.matrix[i] + tuple([r[i] for r in relc]) for i in range(c.ngens)])
+    cycles = tuple([vec[:n] for vec in nullspace(stacked, c.ngens, n + len(relc))])
     # (cycles + boundaries) / boundaries, presented on the cycles
     k = len(cycles)
     basis = nullspace(transpose(cycles + boundaries, n), n, k + len(boundaries))
-    return group_from_presentation(tuple(vec[:k] for vec in basis), k)
+    return group_from_presentation(tuple([vec[:k] for vec in basis]), k)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
 
 
 def _as_f2(m, name: str, rows: int, cols: int) -> Matrix:
-    mat = tuple(tuple(int(x) % 2 for x in row) for row in m)
+    mat = tuple([tuple([int(x) % 2 for x in row]) for row in m])
     if len(mat) != rows or any(len(row) != cols for row in mat):
         raise InconsistentDescriptor(
             "%s must be a %dx%d F2 matrix, got %dx%s"
@@ -195,7 +195,7 @@ def require_kind(space, kind: str):
 
 
 def betti(space: SpaceDescriptor) -> tuple:
-    return tuple(h.free_rank for h in space.h_int_table)
+    return tuple([h.free_rank for h in space.h_int_table])
 
 
 def singular_h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
@@ -253,7 +253,7 @@ def pic_columns(space: SpaceDescriptor) -> tuple:
 
 def _on_pic_columns(space: SpaceDescriptor, m) -> Matrix:
     cols = pic_columns(space)
-    return tuple(tuple(row[j] for j in cols) for row in m)
+    return tuple([tuple([row[j] for j in cols]) for row in m])
 
 
 def picard_image_matrix(space: SpaceDescriptor) -> Matrix:
@@ -292,7 +292,7 @@ def _matrix_from_json(data, name: str) -> tuple:
         raise InconsistentDescriptor("%s must be a list of rows" % name)
     if any(type(x) is not int for row in data for x in row):
         raise InconsistentDescriptor("%s entries must be integers" % name)
-    return tuple(tuple(row) for row in data)
+    return tuple([tuple(row) for row in data])
 
 
 def descriptor_to_json(space: SpaceDescriptor) -> str:
@@ -354,7 +354,7 @@ def descriptor_from_json(source) -> SpaceDescriptor:
                 or not all(isinstance(s, str) for s in raw)):
             raise InconsistentDescriptor("h_int must list five group strings H^0..H^4")
         try:
-            table = tuple(parse_group(s) for s in raw)
+            table = tuple([parse_group(s) for s in raw])
         except RenderParseError as exc:
             raise InconsistentDescriptor("h_int entry unreadable: %s" % exc)
         s1 = data.get("s1")

@@ -158,7 +158,7 @@ class EInfinityReport:
     pages_turned: int
 
     def pieces(self, degree: int):
-        return tuple(g for _, _, g in self.degrees.get(degree, ()))
+        return tuple([g for _, _, g in self.degrees.get(degree, ())])
 
     def resolved_group(self, degree: int):
         """The abutment in one degree, or None when it cannot be assembled. Several
@@ -265,11 +265,11 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
     columns. The codomain must have exponent 2.
     """
     src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
-    full = tuple(
-        tuple(int(rows[i][src_col[j]]) % 2 if j in src_col else 0
-              for j in range(domain.ngens))
+    full = tuple([
+        tuple([int(rows[i][src_col[j]]) % 2 if j in src_col else 0
+               for j in range(domain.ngens)])
         for i in range(codomain.ngens)
-    )
+    ])
     return GroupMap(domain, codomain, full)
 
 

@@ -69,6 +69,7 @@ def test_generated_surfaces_match_the_engines(drawn):
     assert eta_iso_check(space) == (nu == 0)
     assert ql_hermitian_verdict(space).verdict == (onto and nu == 0)
     assert_kok_matches_reference(space)
+    assert_w_matches_reference(space)
 
 
 @st.composite
@@ -99,15 +100,4 @@ def test_generated_open_surfaces_match_the_engines(drawn):
     # exactly when H^3 does
     assert eta_iso_check(space) == (nt3 == 0)
     assert_kok_matches_reference(space)
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(projective_surfaces())
-def test_generated_surfaces_match_the_reference_w(drawn):
-    assert_w_matches_reference(drawn[0])
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(open_surfaces())
-def test_generated_open_surfaces_match_the_reference_w(drawn):
-    assert_w_matches_reference(drawn[0])
+    assert_w_matches_reference(space)
