@@ -214,6 +214,13 @@ def singular_h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGro
     raise ValueError("coefficients must be %r or %r" % (INTEGRAL, MOD2))
 
 
+def cohomology(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
+    """``singular_h``, vanishing above the real dimension."""
+    if degree > 2 * space.dim:
+        return TRIVIAL
+    return singular_h(space, degree, coefficients)
+
+
 def etale_h(space: SpaceDescriptor, degree: int) -> SymGroup:
     """Mod-2 etale cohomology, identified with singular mod-2 cohomology."""
     return singular_h(space, degree, MOD2)
@@ -232,13 +239,16 @@ def picard(space: SpaceDescriptor) -> SymGroup:
     return SymGroup(space.rho, table[2].torsion, b1)
 
 
+def c1_rank(space: SpaceDescriptor) -> int:
+    """Rank of c1: Pic/2 -> H^2(Z/2), which is onto below dimension two."""
+    if space.kind == "surface":
+        return f2_rank(picard_image_matrix(space))
+    return mod2_rank(picard(space))
+
+
 def k0_alg(space: SpaceDescriptor) -> tuple:
-    """Graded pieces (rank, c1, c2) of algebraic K_0, as available per dim."""
-    if space.kind == "point":
-        return (Z,)
-    if space.kind == "curve":
-        return (Z, picard(space))
-    return (Z, picard(space), space.h_int_table[4])
+    """Graded pieces (rank, c1, c2) of algebraic K_0, up to the dimension."""
+    return (Z, picard(space), cohomology(space, 4, INTEGRAL))[: space.dim + 1]
 
 
 def pic_columns(space: SpaceDescriptor) -> tuple:

@@ -6,8 +6,8 @@ carry differentials of bidegree (1, r-1) and are graded by the column s
 alone. Entries are SymGroups, differentials are GroupMaps between them, and
 turning a page replaces every entry by kernel(outgoing)/image(incoming).
 
-Three builders instantiate the engine: pardon_e2 (Witt groups of curves and
-surfaces), ahss_ko and ahss_k (topological KO and K of the underlying
+Three builders instantiate the engine: pardon_e2 (Witt groups of every
+space), ahss_ko and ahss_k (topological KO and K of the underlying
 complex). Differentials the builders do not install are zero; positions on
 later pages where a nonzero map cannot be ruled out are reported as unknown
 rather than silently dropped.
@@ -25,7 +25,6 @@ from .groups import (
     composite_is_zero,
     elementary_two,
     exponent_two,
-    f2_rank,
     homology_at,
     is_elementary_two,
     mod2,
@@ -37,8 +36,9 @@ from .groups import (
 from .spaces import (
     INTEGRAL,
     MOD2,
+    c1_rank,
+    cohomology,
     picard,
-    picard_image_matrix,
     singular_h,
     sq2_integral,
 )
@@ -276,26 +276,18 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
 def pardon_e2(space) -> BigradedPage:
     """E2-page of the spectral sequence converging to the Witt groups.
 
-    Column s contributes to W^s. The unit form generates the (0,0) entry and
-    survives, so its outgoing differentials are zero; the differential out of
-    (0,1) vanishes; the one nontrivial d2 is s1 at (1,1).
+    Column s contributes to W^s; every space fills the same six entries. The
+    unit form generates (0,0) and survives, so its outgoing differentials are
+    zero; the one out of (0,1) vanishes; the one nontrivial d2 is s1 at (1,1).
     """
-    dim = space.dim
-    entries = {(0, 0): Z2}
-    if dim >= 1:
-        entries[(0, 1)] = singular_h(space, 1, MOD2)
-        entries[(1, 1)] = mod2(picard(space))
-    if dim == 1:
-        # c1: Pic -> H^2(Z/2) is onto for curves (degree map if projective,
-        # H^2 = 0 otherwise), so the quotient entry vanishes
-        entries[(0, 2)] = TRIVIAL
-    if dim == 2:
-        pic_rank = f2_rank(picard_image_matrix(space))
-        h2_rank = singular_h(space, 2, MOD2).ngens
-        entries[(0, 2)] = elementary_two(h2_rank - pic_rank)
-        entries[(1, 2)] = singular_h(space, 3, MOD2)
-        entries[(2, 2)] = elementary_two(space.ch2_mod2_rank)
-
+    entries = {
+        (0, 0): Z2,
+        (0, 1): cohomology(space, 1, MOD2),
+        (1, 1): mod2(picard(space)),
+        (0, 2): elementary_two(cohomology(space, 2, MOD2).ngens - c1_rank(space)),
+        (1, 2): cohomology(space, 3, MOD2),
+        (2, 2): elementary_two(space.ch2_mod2_rank),
+    }
     entries = {pos: g for pos, g in entries.items() if not g.is_trivial}
     diffs = {}
     if (0, 0) in entries and (1, 1) in entries:
@@ -361,21 +353,17 @@ def ahss_ko_page(space) -> BigradedPage:
     return _ahss_page(space, KO_POINT, -10)
 
 
-def _ko_known_zero(p_max: int):
-    # page 3: the unit positions survive, and the d3 on the H^p(Z/2) rows
-    # q = -2, -10 (beta.Sq2 up to the identifications) vanishes on classes of
-    # degree below 2 while its p >= 2 targets exceed the dimension
-    pinned = {(0, 0), (0, -8)}
-    for p in range(p_max + 1):
-        pinned.add((p, -2))
-        pinned.add((p, -10))
-    return {3: frozenset(pinned)}
+# page 3: the unit positions survive, and the d3 on the H^p(Z/2) rows
+# q = -2, -10 (beta.Sq2 up to the identifications) vanishes on classes of
+# degree below 2 while its p >= 2 targets exceed the dimension; p runs to a
+# surface's top degree 4, and a pin above a smaller space's names no entry
+_KO_KNOWN_ZERO = {3: frozenset({(0, 0), (0, -8)}
+                               | {(p, q) for p in range(5) for q in (-2, -10)})}
 
 
 def ahss_ko(space) -> EInfinityReport:
-    p_max = 2 * space.dim
-    return run_to_stable(ahss_ko_page(space), ((0, p_max), (-10, 0)),
-                         known_zero=_ko_known_zero(p_max))
+    return run_to_stable(ahss_ko_page(space), ((0, 2 * space.dim), (-10, 0)),
+                         known_zero=_KO_KNOWN_ZERO)
 
 
 def ahss_k_page(space) -> BigradedPage:
@@ -385,12 +373,9 @@ def ahss_k_page(space) -> BigradedPage:
     return _ahss_page(space, K_POINT, -4)
 
 
-def _k_known_zero(p_max: int):
-    pinned = {(p, q) for p in (0, 1) for q in (0, -2, -4)}
-    return {3: frozenset(pinned)}
+_K_KNOWN_ZERO = {3: frozenset({(p, q) for p in (0, 1) for q in (0, -2, -4)})}
 
 
 def ahss_k(space) -> EInfinityReport:
-    p_max = 2 * space.dim
-    return run_to_stable(ahss_k_page(space), ((0, p_max), (-4, 0)),
-                         known_zero=_k_known_zero(p_max))
+    return run_to_stable(ahss_k_page(space), ((0, 2 * space.dim), (-4, 0)),
+                         known_zero=_K_KNOWN_ZERO)

@@ -34,20 +34,13 @@ from .spaces import (
     INTEGRAL,
     SpaceDescriptor,
     betti,
+    cohomology,
     pic_surjective,
     require_kind,
-    singular_h,
     sq2_integral,
 )
 from .specseq import KO_POINT as _KO_POINT, ahss_ko
 from .witt import ODD_TWIST, TRIVIAL_TWIST, cancel_point, check_twist, w
-
-
-def _h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:
-    # cohomology vanishes above the real dimension
-    if degree > 2 * space.dim:
-        return TRIVIAL
-    return singular_h(space, degree, coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -134,46 +127,36 @@ def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymG
 
 def k_top_graded(space: SpaceDescriptor) -> tuple:
     """Graded pieces (Z, H^2(Z), H^4(Z)) of K^0."""
-    return (Z, _h(space, 2, INTEGRAL), _h(space, 4, INTEGRAL))
+    return (Z, cohomology(space, 2, INTEGRAL), cohomology(space, 4, INTEGRAL))
 
 
 def k1_two_torsion(space: SpaceDescriptor) -> SymGroup:
     # K^1 = H^1 + H^3; H^1 is free for every descriptor kind here
-    return two_torsion(_h(space, 3, INTEGRAL))
+    return two_torsion(cohomology(space, 3, INTEGRAL))
 
 
 # ---------------------------------------------------------------------------
 # eta multiplication and mod-2 rank arithmetic
 
-# total degree at which KO^d is read off the stable page: the window cuts the
-# rows below q = -10, so degrees 3..7 are read on the second periodic copy
-_KO_DEGREE_READ = {0: 0, 1: 1, 2: 2, 3: -5, 4: -4, 5: -3, 6: -2, 7: -1}
-
-
 def eta_iso_check(space: SpaceDescriptor) -> bool:
     """True when multiplication by eta identifies KO^{2i-1}[2] with KO^2i/K.
 
     The verdict is the vanishing of the 2-torsion of K^1. When it holds, the
-    identification is asserted: in full against the KO of a point or a curve,
-    and at the level of two-torsion ranks of stable-page pieces for surfaces
-    (odd KO totals are not emitted there), skipping shifts the undetermined
-    page-3 arrow touches.
+    identification is asserted on every space, by two-torsion ranks of the
+    pieces of ahss_ko (both sides are F2-vector spaces on points and curves),
+    skipping shifts an undetermined arrow touches. The window cuts the rows
+    below q = -10, so KO^d is read at total degree d - 8 for d > 2.
     """
     if not k1_two_torsion(space).is_trivial:
         return False
-    rep = ahss_ko(space) if space.kind == "surface" else None
+    rep = ahss_ko(space)
     for i in range(4):
-        quotient = kok(space, 2 * i)
         d = (2 * i - 1) % 8
-        if rep is None:
-            ok = quotient == two_torsion(_wedge(space, d))
-        else:
-            td = _KO_DEGREE_READ[d]
-            if td in rep.unknown_degrees:
-                continue
-            predicted = sum(mod2_rank(two_torsion(g)) for g in rep.pieces(td))
-            ok = mod2_rank(quotient) == predicted
-        if not ok:
+        td = d if d <= 2 else d - 8
+        if td in rep.unknown_degrees:
+            continue
+        predicted = sum(mod2_rank(two_torsion(g)) for g in rep.pieces(td))
+        if mod2_rank(kok(space, 2 * i)) != predicted:
             raise InvariantViolation(
                 "eta: KO^%d/K of %s is not the 2-torsion of KO^%d" % (2 * i, space, d))
     return True

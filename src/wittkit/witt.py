@@ -1,9 +1,9 @@
 """Closed-form Grothendieck-Witt and Witt groups.
 
-Covers the point, curves (all shifts, both twist classes), and surfaces,
-together with the Karoubi-sequence bookkeeping that ties the GW tables to
-K_0, and Stiefel-Whitney class arithmetic over finite structure-constant
-rings.
+W of every space is one count of Z/2 summands. GW covers the point and
+curves (all shifts, both twist classes), together with the Karoubi-sequence
+bookkeeping that ties the GW tables to K_0, and Stiefel-Whitney class
+arithmetic over finite structure-constant rings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .groups import (
     direct_sum,
     divisible,
     elementary_two,
-    exponent_two,
     f2_rank,
     free,
     image_rank2,
@@ -40,11 +39,14 @@ from .groups import (
     render,
 )
 from .spaces import (
+    MOD2,
     SpaceDescriptor,
     betti,
+    c1_rank,
+    cohomology,
     etale_h,
+    make_point,
     picard,
-    picard_image_matrix,
     require_kind,
 )
 
@@ -84,7 +86,6 @@ def cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
 # point
 
 _GW_POINT = (Z, TRIVIAL, Z, Z2)
-_W_POINT = (Z2, TRIVIAL, TRIVIAL, TRIVIAL)
 
 
 def gw_point(i: int) -> SymGroup:
@@ -92,7 +93,7 @@ def gw_point(i: int) -> SymGroup:
 
 
 def w_point(i: int) -> SymGroup:
-    return exponent_two(_W_POINT[i % 4])
+    return _W_POINT[i % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +116,7 @@ def gw_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
 
 def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     require_kind(space, "curve")
-    tw = check_twist(space, twist)
-    b1, deg = etale_h(space, 1).ngens, etale_h(space, 2).ngens
-    # W^i as a number of Z/2 summands for i = 0..3
-    twos = (b1, 0, 0, 0) if tw == ODD_TWIST else (1 + b1, deg, 0, 0)
-    return exponent_two(elementary_two(twos[i % 4]))
+    return w(space, i, twist)
 
 
 def gw_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -134,26 +131,42 @@ def w0_graded_surface(space: SpaceDescriptor):
     """Graded pieces (rank, w1-bar, w2-bar) of W^0."""
     require_kind(space, "surface")
     h2 = etale_h(space, 2)
-    pic_rank = f2_rank(picard_image_matrix(space))
-    return (Z2, etale_h(space, 1), elementary_two(mod2_rank(h2) - pic_rank))
+    return (Z2, etale_h(space, 1), elementary_two(mod2_rank(h2) - c1_rank(space)))
 
 
 def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
-    """W^i of a surface, an F2-vector space: elementary_two of one count."""
     require_kind(space, "surface")
-    s1_rank = f2_rank(space.s1)
+    return w(space, i)
+
+
+# ---------------------------------------------------------------------------
+# any space
+
+
+def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    """W^i of any space, elementary_two of one count over its Picard and Chow
+    data: untwisted, 1 + h^1 + h^2 - rank c1, rank Pic/2 - rank s1 + h^3,
+    ch2 - rank s1 and 0; under O(p), a curve's paper row h^1, 0, 0, 0."""
+    def h(p):  # h^p = rank H^p(Z/2), 0 above the real dimension
+        return cohomology(space, p, MOD2).ngens
+
+    tw = check_twist(space, twist)
     i %= 4
-    if i == 0:
-        g = elementary_two(sum(p.ngens for p in w0_graded_surface(space)))
+    if tw == ODD_TWIST:
+        count = h(1) if i == 0 else 0
+    elif i == 0:
+        count = 1 + h(1) + h(2) - c1_rank(space)
     elif i == 1:
-        g = elementary_two(space.rho + space.nu - s1_rank + etale_h(space, 3).ngens)
+        count = mod2_rank(picard(space)) - f2_rank(space.s1) + h(3)
     elif i == 2:
-        g = elementary_two(space.ch2_mod2_rank - s1_rank)
+        count = space.ch2_mod2_rank - f2_rank(space.s1)
     else:
-        g = TRIVIAL
-    if space.projective:
+        count = 0
+    g = elementary_two(count)
+    if space.kind == "surface" and space.projective:
         # Betti-number forms of the same groups; a second route through the data
         b = betti(space)
+        s1_rank = f2_rank(space.s1)
         ok = True
         if i == 0:
             ok = mod2_rank(g) - 1 == b[1] + b[2] - space.rho + 2 * space.nu
@@ -164,21 +177,10 @@ def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
         if not ok:
             raise InvariantViolation(
                 "W^%d of %s disagrees with its Betti-number form" % (i, space))
-    return exponent_two(g)
+    return g
 
 
-# ---------------------------------------------------------------------------
-# any space
-
-
-def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    """W^i of a point, a curve or a surface."""
-    tw = check_twist(space, twist)
-    if space.kind == "point":
-        return w_point(i)
-    if space.kind == "curve":
-        return w_curve(space, i, tw)
-    return w_surface(space, i)
+_W_POINT = tuple([w(make_point(), i) for i in range(4)])
 
 
 def w_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:

@@ -246,7 +246,7 @@ def test_cross_checks_raise_under_python_O():
     # must still raise when -O strips assert statements
     child = (
         "import sys\n"
-        "import wittkit.compare as C, wittkit.topko as T, wittkit.witt as W\n"
+        "import wittkit.compare as C, wittkit.specseq as S, wittkit.topko as T, wittkit.witt as W\n"
         "from wittkit.catalog import catalog_get\n"
         "from wittkit.errors import InvariantViolation\n"
         "from wittkit.groups import TRIVIAL, Z\n"
@@ -264,7 +264,7 @@ def test_cross_checks_raise_under_python_O():
         "p2 = catalog_get('p2').descriptor\n"
         "print(sys.flags.optimize, *[\n"
         "    forced(W, 'betti', lambda s: (1, 0, 9, 0, 1), lambda: W.w_surface(p2, 0)),\n"
-        "    forced(T, '_KO_POINT', (TRIVIAL,) * 8, lambda: T.eta_iso_check(make_point())),\n"
+        "    forced(S, 'KO_POINT', (TRIVIAL,) * 8, lambda: T.eta_iso_check(make_point())),\n"
         "    forced(T, 'w', lambda s, i: Z, lambda: T.ql_hermitian_verdict(make_point())),\n"
         "    forced(C, 'w', lambda s, i, tw: Z, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
         "    forced(C, 'pic_surjective', lambda s: False, lambda: C.compare_w_kok(p2)),\n"

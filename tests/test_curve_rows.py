@@ -51,9 +51,9 @@ from wittkit.spaces import (
     require_kind,
     sq2_integral,
 )
+from wittkit.spaces import cohomology as _h
 from wittkit.topko import (
     _KO_POINT,
-    _h,
     ko_curve,
     ko_curve_reduced,
     ko_point,

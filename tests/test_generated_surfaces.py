@@ -11,12 +11,14 @@ H^4 is Z or 0. On both, KO/K must equal ``reference_kok``, the surface
 formula as it stood before KO/K was read off cell counts, and W and every
 engine's resolved groups must equal ``reference_w_surface`` and
 ``reference_resolved_group``, the direct-sum assembly W had before it was
-read off summand counts.
+read off summand counts. The Pardon page, the eta check and K_0 must also
+equal the per-kind routes they had before W of every space was one count.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_curve_rows import assert_kok_matches_reference
+from test_space_rows import assert_matches_references
 from test_surface_rows import assert_w_matches_reference
 
 from wittkit.compare import SURFACE_ISO, compare_w_kok
@@ -70,6 +72,7 @@ def test_generated_surfaces_match_the_engines(drawn):
     assert ql_hermitian_verdict(space).verdict == (onto and nu == 0)
     assert_kok_matches_reference(space)
     assert_w_matches_reference(space)
+    assert_matches_references(space)
 
 
 @st.composite
@@ -101,3 +104,4 @@ def test_generated_open_surfaces_match_the_engines(drawn):
     assert eta_iso_check(space) == (nt3 == 0)
     assert_kok_matches_reference(space)
     assert_w_matches_reference(space)
+    assert_matches_references(space)

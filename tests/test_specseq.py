@@ -43,8 +43,8 @@ from wittkit.specseq import (
     PARDON,
     BigradedPage,
     EInfinityReport,
-    _k_known_zero,
-    _ko_known_zero,
+    _K_KNOWN_ZERO,
+    _KO_KNOWN_ZERO,
     _map_from_f2,
     ahss_k,
     ahss_k_page,
@@ -501,8 +501,8 @@ def reference_ahss_k_page(space) -> BigradedPage:
 
 
 AHSS_ENGINES = (
-    (ahss_ko_page, ahss_ko, reference_ahss_ko_page, -10, _ko_known_zero),
-    (ahss_k_page, ahss_k, reference_ahss_k_page, -4, _k_known_zero),
+    (ahss_ko_page, ahss_ko, reference_ahss_ko_page, -10, _KO_KNOWN_ZERO),
+    (ahss_k_page, ahss_k, reference_ahss_k_page, -4, _K_KNOWN_ZERO),
 )
 
 
@@ -516,7 +516,7 @@ def assert_ahss_matches_reference(space):
         assert dump_page(page) == dump_page(ref)
         rep = engine(space)
         ref_rep = run_to_stable(ref, ((0, p_max), (q_lo, 0)),
-                                known_zero=known_zero(p_max))
+                                known_zero=known_zero)
         for f in dataclasses.fields(EInfinityReport):
             assert getattr(rep, f.name) == getattr(ref_rep, f.name), f.name
         assert list(rep.entries) == list(ref_rep.entries)
