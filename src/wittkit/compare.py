@@ -80,7 +80,7 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
         verdict = SURFACE_ISO
     else:
         verdict = SURFACE_MISMATCH
-    if space.kind == "surface" and not onto:
+    if not onto:
         # necessity direction: a Picard rank defect must surface at shift 0
         if not (mismatch is not None and mismatch[0] == 0):
             raise InvariantViolation("%s: Picard defect missed at shift 0" % space)

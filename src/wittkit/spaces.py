@@ -3,9 +3,9 @@
 A descriptor stores the small amount of data the group computations need:
 genus and punctures for curves; integral cohomology, Picard data, and the
 mod-2 operation matrices for surfaces. Every descriptor holds its integral
-cohomology table; the constructors of the point and of curves fill it in.
-Everything else (Betti numbers, mod-2 cohomology, Picard groups, graded
-K-theory) is derived here.
+cohomology table and its Picard number rho with pi2; the constructors of the
+point and of curves fill them in. Everything else (Betti numbers, mod-2
+cohomology, Picard groups, graded K-theory) is derived here.
 
 Matrix fields (sq2, pi2, s1) are F2 matrices over the canonical mod-2 bases:
 H^2(Z)/2 is spanned by the free generators of H^2 followed by its 2-torsion
@@ -23,12 +23,12 @@ from .groups import (
     Z,
     Matrix,
     SymGroup,
-    divisible,
     elementary_two,
     even_count,
     f2_mul,
     f2_rank,
     free,
+    identity,
     mod2_rank,
     parse_group,
     render,
@@ -42,6 +42,8 @@ MOD2 = "mod2"
 # stay near the largest size the tables are meant for (g = 1000, with room
 # for punctures)
 MAX_CURVE_RANK = 2048
+# most summands in an h_int string of a descriptor file; parse_group is cubic in them
+MAX_GROUP_SUMMANDS = 256
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class SpaceDescriptor:
 
     @property
     def dim(self) -> int:
-        return {"point": 0, "curve": 1, "surface": 2}[self.kind]
+        return len(self.h_int_table) // 2  # the table lists H^0..H^(2 dim)
 
     def __str__(self):
         if self.kind == "point":
@@ -87,8 +89,9 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
         raise InconsistentDescriptor(
             "2 * genus + punctures must be at most %d" % MAX_CURVE_RANK)
     b1 = 2 * genus + (0 if projective else punctures - 1)
+    rho = 1 if projective else 0  # the degree spans NS of a projective curve
     return SpaceDescriptor(kind="curve", projective=bool(projective), genus=genus,
-                           punctures=punctures,
+                           punctures=punctures, rho=rho, pi2=identity(rho),
                            h_int_table=(Z, free(b1), Z if projective else TRIVIAL))
 
 
@@ -227,23 +230,16 @@ def etale_h(space: SpaceDescriptor, degree: int) -> SymGroup:
 
 
 def picard(space: SpaceDescriptor) -> SymGroup:
-    if space.kind == "point":
-        return TRIVIAL
-    if space.kind == "curve":
-        if space.projective:
-            return SymGroup(1, (), 2 * space.genus)
-        # divisible quotient: the finitely generated shadow collapses
-        return divisible(2 * space.genus)
-    table = space.h_int_table
-    b1 = table[1].free_rank
-    return SymGroup(space.rho, table[2].torsion, b1)
+    """Pic = Z^rho + tors H^2 + D(b1 - (n - 1)): the n - 1 loops around the n
+    punctures of an affine curve lie outside the divisible Pic^0."""
+    loops = max(space.punctures - 1, 0)
+    return SymGroup(space.rho, cohomology(space, 2, INTEGRAL).torsion,
+                    cohomology(space, 1, INTEGRAL).free_rank - loops)
 
 
 def c1_rank(space: SpaceDescriptor) -> int:
-    """Rank of c1: Pic/2 -> H^2(Z/2), which is onto below dimension two."""
-    if space.kind == "surface":
-        return f2_rank(picard_image_matrix(space))
-    return mod2_rank(picard(space))
+    """Rank of c1: Pic/2 -> H^2(Z/2), read off pi2 on the Picard columns."""
+    return f2_rank(picard_image_matrix(space))
 
 
 def k0_alg(space: SpaceDescriptor) -> tuple:
@@ -257,7 +253,7 @@ def pic_columns(space: SpaceDescriptor) -> tuple:
     Convention: the first rho free generators of H^2 followed by all nu
     torsion generators (the Neron-Severi lattice is primitively embedded).
     """
-    b2 = space.h_int_table[2].free_rank
+    b2 = cohomology(space, 2, INTEGRAL).free_rank
     return tuple(range(space.rho)) + tuple(range(b2, b2 + space.nu))
 
 
@@ -283,10 +279,8 @@ def sq2z_on_pic(space: SpaceDescriptor) -> Matrix:
 
 
 def pic_surjective(space: SpaceDescriptor) -> bool:
-    """Whether Pic(X) covers H^2(X;Z); always true below dimension two."""
-    if space.kind == "surface":
-        return space.rho == betti(space)[2]
-    return True
+    """Whether Pic(X) covers H^2(X;Z): rho = b2, true below dimension two."""
+    return space.rho == cohomology(space, 2, INTEGRAL).free_rank
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +357,9 @@ def descriptor_from_json(source) -> SpaceDescriptor:
         if (not isinstance(raw, list) or len(raw) != 5
                 or not all(isinstance(s, str) for s in raw)):
             raise InconsistentDescriptor("h_int must list five group strings H^0..H^4")
+        if any(s.count(" + ") + 1 > MAX_GROUP_SUMMANDS for s in raw):
+            raise InconsistentDescriptor(
+                "h_int entries may have at most %d summands" % MAX_GROUP_SUMMANDS)
         try:
             table = tuple([parse_group(s) for s in raw])
         except RenderParseError as exc:

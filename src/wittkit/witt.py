@@ -1,9 +1,9 @@
 """Closed-form Grothendieck-Witt and Witt groups.
 
-W of every space is one count of Z/2 summands. GW covers the point and
-curves (all shifts, both twist classes), together with the Karoubi-sequence
-bookkeeping that ties the GW tables to K_0, and Stiefel-Whitney class
-arithmetic over finite structure-constant rings.
+W of every space is one count of Z/2 summands; GW of the point and of curves
+(all shifts, both twist classes, read from Pic/2) is one count of Z, Z/2 and
+divisible summands. Also here: the Karoubi-sequence bookkeeping that ties the
+GW tables to K_0, and Stiefel-Whitney arithmetic over structure-constant rings.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedTwist,
 )
 from .groups import (
-    TRIVIAL,
     Z,
     Z2,
     GroupMap,
@@ -64,16 +63,14 @@ def normalize_twist(twist) -> str:
 
 
 def check_twist(space: SpaceDescriptor, twist) -> str:
-    """The normalized twist class, once it is known to exist on ``space``."""
+    """The normalized twist class, once it is known to exist on ``space``;
+    twist classes are Pic/2 (on an affine curve every line bundle is a square)."""
     tw = normalize_twist(twist)
     if tw == ODD_TWIST:
         if space.kind == "surface":
             raise UnsupportedTwist("twisted surface groups are out of contract")
-        if space.kind == "point":
-            raise NoSuchTwist("a point admits only the trivial twist")
-        if not space.projective:
-            # every line bundle on an affine curve is a square
-            raise NoSuchTwist("affine curves admit no nontrivial twist class")
+        if mod2_rank(picard(space)) == 0:
+            raise NoSuchTwist("%s admits only the trivial twist" % space)
     return tw
 
 
@@ -83,9 +80,24 @@ def cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
 
 
 # ---------------------------------------------------------------------------
-# point
+# point and curves
 
-_GW_POINT = (Z, TRIVIAL, Z, Z2)
+
+def _gw(space: SpaceDescriptor, i: int, tw: str) -> SymGroup:
+    """GW^i of the point or a curve under the normalized twist ``tw``."""
+    b1, deg = cohomology(space, 1, MOD2).ngens, cohomology(space, 2, MOD2).ngens
+    jac = picard(space).divisible_rank
+    # GW^i as (free rank, number of Z/2, divisible rank); deg = h^2 is 1
+    # exactly on a projective curve, and the point has b1 = deg = jac = 0
+    if tw == ODD_TWIST:
+        table = ((1, b1, 0), (1, 0, jac), (1, 0, 0), (1, 0, jac))
+    else:
+        table = ((1, b1 + deg, 0), (deg, 0, jac), (1, 0, 0), (deg, 1, jac))
+    free_rank, twos, div = table[i % 4]
+    return SymGroup(free_rank, (2,) * twos, div)
+
+
+_GW_POINT = tuple([_gw(make_point(), i, TRIVIAL_TWIST) for i in range(4)])
 
 
 def gw_point(i: int) -> SymGroup:
@@ -96,22 +108,9 @@ def w_point(i: int) -> SymGroup:
     return _W_POINT[i % 4]
 
 
-# ---------------------------------------------------------------------------
-# curves
-
-
 def gw_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     require_kind(space, "curve")
-    tw = check_twist(space, twist)
-    b1, deg = etale_h(space, 1).ngens, etale_h(space, 2).ngens
-    jac = picard(space).divisible_rank
-    # GW^i as (free rank, number of Z/2, divisible rank); deg is 1 iff projective
-    if tw == ODD_TWIST:
-        table = ((1, b1, 0), (1, 0, jac), (1, 0, 0), (1, 0, jac))
-    else:
-        table = ((1, b1 + deg, 0), (deg, 0, jac), (1, 0, 0), (deg, 1, jac))
-    free_rank, twos, div = table[i % 4]
-    return SymGroup(free_rank, (2,) * twos, div)
+    return _gw(space, i, check_twist(space, twist))
 
 
 def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -201,11 +200,10 @@ class WittTable:
 def witt_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> WittTable:
     tw = check_twist(space, twist)
     w_row = tuple(w(space, i, tw) for i in range(4))
-    if space.kind == "surface":
+    if space.dim == 2:  # GW of a surface is out of contract
         gw_row = gw_red = (None,) * 4
     else:
-        gw_row = tuple(gw_point(i) if space.kind == "point" else gw_curve(space, i, tw)
-                       for i in range(4))
+        gw_row = tuple([_gw(space, i, tw) for i in range(4)])
         gw_red = tuple(cancel_point(g, gw_point(i), tw) for i, g in enumerate(gw_row))
     return WittTable(
         kind=space.kind,

@@ -27,8 +27,14 @@ from wittkit import cli
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.cli import main, run
 from wittkit.compare import compare_w_kok, report_to_json
+from wittkit.errors import InconsistentDescriptor
 from wittkit.groups import Z2, cyclic, direct_sum, elementary_two, render
-from wittkit.spaces import descriptor_to_json, make_curve
+from wittkit.spaces import (
+    MAX_GROUP_SUMMANDS,
+    descriptor_from_json,
+    descriptor_to_json,
+    make_curve,
+)
 from wittkit.topko import ko_table
 from wittkit.witt import w_surface, witt_table
 
@@ -515,6 +521,32 @@ def test_oversized_curve_files_exit_one_with_signal(tmp_path, fields):
         code, out, err = go(*argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error [inconsistent-descriptor]: "), err
+
+
+def surface_doc(h2: str) -> dict:
+    """A surface descriptor whose H^2 string is ``h2``; nu = 0 does not match
+    a torsion H^2, so a file that gets past parsing is refused for nu."""
+    return dict(kind="surface", projective=False, h_int=["Z", "0", h2, "0", "0"],
+                nu=0, rho=0, ch2_mod2_rank=0, sq2=[], pi2=[], s1=[])
+
+
+def test_oversized_group_strings_exit_one_before_parsing(tmp_path, eliminations):
+    # parse_group is cubic in the summands of a string, so the loader refuses
+    # one with more than MAX_GROUP_SUMMANDS before it runs an elimination
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(surface_doc(" + ".join(["Z/2"] * (MAX_GROUP_SUMMANDS + 1)))))
+    for argv in (("compute", "--space", str(path), "--theory", "w"),
+                 ("compare", "--space", str(path))):
+        code, out, err = go(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error [inconsistent-descriptor]: "), err
+        assert "at most %d summands" % MAX_GROUP_SUMMANDS in err
+    assert len(eliminations) == 0
+    # a string of exactly MAX_GROUP_SUMMANDS summands is parsed
+    at_bound = " + ".join(["Z/2"] * MAX_GROUP_SUMMANDS)
+    with pytest.raises(InconsistentDescriptor, match="^nu: .* which is %d$" % MAX_GROUP_SUMMANDS):
+        descriptor_from_json(json.dumps(surface_doc(at_bound)))
+    assert len(eliminations) == 1
 
 
 # Curves at the MAX_CURVE_RANK edge: 2g + n = 2000 and 2048

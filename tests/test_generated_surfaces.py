@@ -12,12 +12,15 @@ formula as it stood before KO/K was read off cell counts, and W and every
 engine's resolved groups must equal ``reference_w_surface`` and
 ``reference_resolved_group``, the direct-sum assembly W had before it was
 read off summand counts. The Pardon page, the eta check and K_0 must also
-equal the per-kind routes they had before W of every space was one count.
+equal the per-kind routes they had before W of every space was one count,
+and the Picard readers and the twist rule the routes they had before every
+space carried its Picard data.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_curve_rows import assert_kok_matches_reference
+from test_picard_rows import assert_picard_matches_references
 from test_space_rows import assert_matches_references
 from test_surface_rows import assert_w_matches_reference
 
@@ -73,6 +76,7 @@ def test_generated_surfaces_match_the_engines(drawn):
     assert_kok_matches_reference(space)
     assert_w_matches_reference(space)
     assert_matches_references(space)
+    assert_picard_matches_references(space)
 
 
 @st.composite
@@ -105,3 +109,4 @@ def test_generated_open_surfaces_match_the_engines(drawn):
     assert_kok_matches_reference(space)
     assert_w_matches_reference(space)
     assert_matches_references(space)
+    assert_picard_matches_references(space)
