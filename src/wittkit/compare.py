@@ -22,7 +22,7 @@ from .spaces import (
     sq2_integral,
     sq2z_on_pic,
 )
-from .topko import kok, kok_reduced
+from .topko import kok_reduced, kok_row
 from .witt import TRIVIAL_TWIST, check_twist, w, w_reduced
 
 CURVE_ALWAYS_ISO = "curve-always-iso"
@@ -59,8 +59,7 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
     tw = check_twist(space, twist)
     rows = []
     mismatch = None
-    for i in range(4):
-        k_grp = kok(space, 2 * i, tw)
+    for i, k_grp in enumerate(kok_row(space, tw)):
         w_grp = w(space, i, tw)
         iso = w_grp == k_grp
         rows.append(ShiftRow(i, w_grp, k_grp, iso))

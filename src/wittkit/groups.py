@@ -22,15 +22,22 @@ Matrix convention: a matrix is a tuple of row tuples of exact ints, and
 ``GroupMap`` refuses any other entry, as ``SymGroup`` refuses a rank or an
 invariant factor that is not an int. An m-by-0 matrix is ``((),) * m`` and
 a 0-by-n matrix is ``()``; functions that cannot infer a dimension from the
-data take it explicitly. Tuples are built from lists: a tuple built from a
-generator is resized, never reusing a freed one, so CPython's free lists fill.
+data take it explicitly; ``mat_mul`` refuses a ragged operand. Tuples are
+built from lists: a tuple built from a generator is resized, never reusing a
+freed one, so CPython's free lists fill. The constructors' checks and
+``mat_mul`` (by columns) run per entry in C builtins, not in generators. A
+map's relations are checked row by row over the codomain: a factor dividing
+the domain's first invariant factor imposes nothing. The F2 echelon reduces
+each vector through a dict keyed on its lowest bit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
+from operator import mod, mul
 
 from .errors import (
     InvariantViolation,
@@ -59,14 +66,10 @@ def mat_mul(a, b, b_cols: int | None = None) -> Matrix:
     nc = b_cols if b_cols is not None else (len(b[0]) if b else 0)
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatch("inner dimensions disagree: %d vs %d" % (len(a[0]), len(b)))
-    return tuple([
-        tuple([sum(row[k] * b[k][j] for k in range(len(b))) for j in range(nc)])
-        for row in a
-    ])
-
-
-def _column(m, j: int, nrows: int):
-    return tuple([m[i][j] for i in range(nrows)])
+    if len({*map(len, a)}) > 1 or {*map(len, b)} - {nc}:
+        raise ShapeMismatch("ragged operand: the rows of a matrix differ in length")
+    cols = list(zip(*b)) or [()] * nc
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _swap_rows(a, u, i, j):
@@ -215,19 +218,21 @@ def nullspace(m, rows: int | None = None, cols: int | None = None):
 
 
 def _f2_echelon(vectors) -> list:
-    """Echelon form over F2 of vectors mod 2: bitmasks, distinct lowest bits."""
-    pivots = []
+    """Echelon form over F2 of vectors mod 2: bitmasks, distinct lowest bits,
+    one per vector independent of those before it."""
+    pivots = {}
     for vec in vectors:
         bits = 0
         for j, x in enumerate(vec):
             if x & 1:
                 bits |= 1 << j
-        for p in pivots:
-            if bits & p & -p:
-                bits ^= p
-        if bits:
-            pivots.append(bits)
-    return pivots
+        while bits:
+            p = pivots.get(bits & -bits)
+            if p is None:
+                pivots[bits & -bits] = bits
+                break
+            bits ^= p
+    return list(pivots.values())
 
 
 def f2_rank(m) -> int:
@@ -263,16 +268,16 @@ class SymGroup:
     def __post_init__(self):
         tor = tuple(self.torsion)
         object.__setattr__(self, "torsion", tor)
-        if not all(isinstance(x, int) for x in (self.free_rank, self.divisible_rank) + tor):
+        if not all(map(isinstance, (self.free_rank, self.divisible_rank) + tor, repeat(int))):
             raise ValueError("SymGroup ranks and invariant factors must be ints")
         if self.free_rank < 0 or self.divisible_rank < 0:
             raise ValueError("negative rank in SymGroup")
-        for d in tor:
-            if d < 2:
-                raise ValueError("invariant factors must be >= 2, got %r" % (d,))
-        for a, b in zip(tor, tor[1:]):
-            if b % a:
-                raise ValueError("invariant factors %d | %d fail divisibility" % (a, b))
+        if tor and min(tor) < 2:
+            d = next(d for d in tor if d < 2)
+            raise ValueError("invariant factors must be >= 2, got %r" % (d,))
+        if any(map(mod, tor[1:], tor)):
+            a, b = next((a, b) for a, b in zip(tor, tor[1:]) if b % a)
+            raise ValueError("invariant factors %d | %d fail divisibility" % (a, b))
 
     @property
     def ngens(self) -> int:
@@ -497,34 +502,38 @@ class GroupMap:
     def __post_init__(self):
         mat = tuple([tuple(row) for row in self.matrix])
         object.__setattr__(self, "matrix", mat)
-        if not all(isinstance(x, int) for row in mat for x in row):
+        dom, cod = self.domain, self.codomain
+        if not all(map(isinstance, chain.from_iterable(mat), repeat(int))):
             raise ValueError("GroupMap matrix entries must be ints")
-        if len(mat) != self.codomain.ngens or any(
-            len(row) != self.domain.ngens for row in mat
-        ):
+        if len(mat) != cod.ngens or {*map(len, mat)} - {dom.ngens}:
             raise ShapeMismatch(
                 "matrix must be %dx%d (codomain x domain generators)"
-                % (self.codomain.ngens, self.domain.ngens)
+                % (cod.ngens, dom.ngens)
             )
-        if self.domain.divisible_rank or self.codomain.divisible_rank:
+        if dom.divisible_rank or cod.divisible_rank:
             raise UnsupportedDivisibleMap(
                 "a GroupMap takes no divisible summand on either side")
         # the matrix must send domain relations into the codomain lattice
-        for i, d in enumerate(self.domain.torsion):
-            col = _column(mat, self.domain.free_rank + i, self.codomain.ngens)
-            if not _in_relation_lattice([d * c for c in col], self.codomain):
-                raise ValueError(
-                    "matrix does not respect relations: generator of order %d "
-                    "has image of larger order" % d
-                )
+        fd = dom.free_rank
+        if dom.torsion and not _in_lattice([row[fd:] for row in mat], cod, dom.torsion):
+            d = next(d for j, d in enumerate(dom.torsion, fd)
+                     if not _in_lattice([row[j:j + 1] for row in mat], cod, (d,)))
+            raise ValueError(
+                "matrix does not respect relations: generator of order %d "
+                "has image of larger order" % d
+            )
 
 
-def _in_relation_lattice(vec, g: SymGroup) -> bool:
-    for r in range(g.free_rank):
-        if vec[r]:
-            return False
-    for i, d in enumerate(g.torsion):
-        if vec[g.free_rank + i] % d:
+def _in_lattice(rows, g: SymGroup, orders=None) -> bool:
+    """Whether each column of ``rows`` (coordinates in g), times its entry of
+    the chain ``orders`` if given, lies in g's relation lattice: a free row
+    must vanish, and a factor dividing orders[0] divides every order."""
+    if any(map(any, rows[:g.free_rank])):
+        return False
+    for row, e in zip(rows[g.free_rank:], g.torsion):
+        if orders is not None and orders[0] % e == 0:
+            continue
+        if any(map(mod, row if orders is None else map(mul, orders, row), repeat(e))):
             return False
     return True
 
@@ -573,7 +582,7 @@ def cokernel_map(f: GroupMap):
                 row[q] = v >> i & 1
         coker = elementary_two(len(rows))
         return coker, GroupMap(b, coker, rows)
-    rel = tuple([_column(f.matrix, j, n) for j in range(f.domain.ngens)]) + relation_rows(b)
+    rel = transpose(f.matrix, f.domain.ngens) + relation_rows(b)
     u1, s1, _ = _smith(transpose(rel, n), n, len(rel), True, False)
     k = min(n, len(rel))
     free_idx = [i for i in range(n) if i >= k or s1[i][i] == 0]
@@ -605,12 +614,7 @@ def image_rank2(f: GroupMap) -> int:
 def composite_is_zero(f: GroupMap, g: GroupMap) -> bool:
     if f.codomain != g.domain:
         raise ShapeMismatch("maps are not composable")
-    prod = mat_mul(g.matrix, f.matrix, f.domain.ngens)
-    nc = g.codomain.ngens
-    return all(
-        _in_relation_lattice(_column(prod, j, nc), g.codomain)
-        for j in range(f.domain.ngens)
-    )
+    return _in_lattice(mat_mul(g.matrix, f.matrix, f.domain.ngens), g.codomain)
 
 
 def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:

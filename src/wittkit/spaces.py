@@ -210,11 +210,16 @@ def singular_h(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGro
     if coefficients == INTEGRAL:
         return table[degree]
     if coefficients == MOD2:
-        b = table[degree].free_rank
-        t_here = even_count(table[degree])
-        t_above = even_count(table[degree + 1]) if degree + 1 < len(table) else 0
-        return elementary_two(b + t_here + t_above)
+        return elementary_two(mod2_betti(table, degree))
     raise ValueError("coefficients must be %r or %r" % (INTEGRAL, MOD2))
+
+
+def mod2_betti(h_int: tuple, degree: int) -> int:
+    """Rank of H^degree(Z/2) by universal coefficients, from an integral
+    cohomology table H^0..; degrees outside the table count as 0."""
+    if not 0 <= degree < len(h_int):
+        return 0
+    return mod2_rank(h_int[degree]) + sum(map(even_count, h_int[degree + 1:degree + 2]))
 
 
 def cohomology(space: SpaceDescriptor, degree: int, coefficients: str) -> SymGroup:

@@ -37,7 +37,7 @@ from .spaces import (
     INTEGRAL,
     MOD2,
     c1_rank,
-    cohomology,
+    mod2_betti,
     picard,
     singular_h,
     sq2_integral,
@@ -282,10 +282,10 @@ def pardon_e2(space) -> BigradedPage:
     """
     entries = {
         (0, 0): Z2,
-        (0, 1): cohomology(space, 1, MOD2),
+        (0, 1): elementary_two(mod2_betti(space.h_int_table, 1)),
         (1, 1): mod2(picard(space)),
-        (0, 2): elementary_two(cohomology(space, 2, MOD2).ngens - c1_rank(space)),
-        (1, 2): cohomology(space, 3, MOD2),
+        (0, 2): elementary_two(mod2_betti(space.h_int_table, 2) - c1_rank(space)),
+        (1, 2): elementary_two(mod2_betti(space.h_int_table, 3)),
         (2, 2): elementary_two(space.ch2_mod2_rank),
     }
     entries = {pos: g for pos, g in entries.items() if not g.is_trivial}
@@ -334,6 +334,7 @@ def _ahss_page(space, point, q_lo: int) -> BigradedPage:
     cells = ((p, q, singular_h(space, p, _COEFFICIENTS[point[q % 8]]))
              for q in rows for p in range(2 * space.dim + 1))
     entries = {(p, q): g for p, q, g in cells if not g.is_trivial}
+    sq = {Z2: space.sq2, Z: sq2_integral(space)} if Z2 in point else {}  # by source row
     diffs = {}
     for (p, q), src in entries.items():
         tgt = entries.get((p + 2, q - 1))
@@ -342,8 +343,7 @@ def _ahss_page(space, point, q_lo: int) -> BigradedPage:
         if p < 2:
             diffs[(p, q)] = zero_map(src, tgt)
         else:
-            sq = space.sq2 if point[q % 8] == Z2 else sq2_integral(space)
-            diffs[(p, q)] = _map_from_f2(src, tgt, sq)
+            diffs[(p, q)] = _map_from_f2(src, tgt, sq[point[q % 8]])
     return BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL,
                         differentials=diffs)
 

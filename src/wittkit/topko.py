@@ -35,6 +35,7 @@ from .spaces import (
     SpaceDescriptor,
     betti,
     cohomology,
+    mod2_betti,
     pic_surjective,
     require_kind,
     sq2_integral,
@@ -82,38 +83,39 @@ def _kok_count(h_int: tuple, sq2_rank: int, i: int) -> int:
     four, from its integral cohomology H^0.. (missing degrees count as 0) and
     the rank of Sq2 from H^2(Z)/2 to H^4(Z/2)."""
     h = h_int + (TRIVIAL,) * (6 - len(h_int))
-
-    def h_mod2(p):  # rank of H^p(Z/2), by universal coefficients
-        return mod2_rank(h[p]) + even_count(h[p + 1])
-
     i %= 4
     if i == 0:
         # the torsion of H^3 counts the cokernel of H^2(Z)/2 -> H^2(Z/2)
-        return 1 + h_mod2(1) + even_count(h[3])
+        return 1 + mod2_betti(h, 1) + even_count(h[3])
     if i == 1:
-        return mod2_rank(h[2]) - sq2_rank + h_mod2(3)
+        return mod2_rank(h[2]) - sq2_rank + mod2_betti(h, 3)
     if i == 2:
-        return h_mod2(4) - sq2_rank
+        return mod2_betti(h, 4) - sq2_rank
     return 0
 
 
 _KOK_POINT = tuple(elementary_two(_kok_count((Z,), 0, i)) for i in range(4))
 
 
-def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    """KO^shift/K of the space, shift even, eight-periodic."""
-    if shift % 2:
-        raise DegreeOutOfRange("KO/K quotients live in even shifts only")
+def kok_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
+    """KO^0/K, KO^2/K, KO^4/K and KO^6/K of the space, from one rank of Sq2."""
     tw = check_twist(space, twist)
-    i = (shift % 8) // 2
     if tw == ODD_TWIST:
         # KO^n(C; L) is the reduced KO^(n+2) of the Thom space of L; by Wu's
         # formula Sq2 of its Thom class is w2(L) = deg L mod 2, the top class
         thom = (Z, TRIVIAL) + space.h_int_table
-        count = _kok_count(thom, 1, i + 1) - _kok_count((Z,), 0, i + 1)
+        counts = [_kok_count(thom, 1, i + 1) - _kok_count((Z,), 0, i + 1) for i in range(4)]
     else:
-        count = _kok_count(space.h_int_table, f2_rank(sq2_integral(space)), i)
-    return elementary_two(count)
+        rank = f2_rank(sq2_integral(space))
+        counts = [_kok_count(space.h_int_table, rank, i) for i in range(4)]
+    return tuple([elementary_two(count) for count in counts])
+
+
+def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
+    """KO^shift/K of the space, shift even, eight-periodic."""
+    if shift % 2:
+        raise DegreeOutOfRange("KO/K quotients live in even shifts only")
+    return kok_row(space, twist)[(shift % 8) // 2]
 
 
 def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -149,14 +151,14 @@ def eta_iso_check(space: SpaceDescriptor) -> bool:
     """
     if not k1_two_torsion(space).is_trivial:
         return False
-    rep = ahss_ko(space)
+    rep, quotients = ahss_ko(space), kok_row(space)
     for i in range(4):
         d = (2 * i - 1) % 8
         td = d if d <= 2 else d - 8
         if td in rep.unknown_degrees:
             continue
         predicted = sum(mod2_rank(two_torsion(g)) for g in rep.pieces(td))
-        if mod2_rank(kok(space, 2 * i)) != predicted:
+        if mod2_rank(quotients[i]) != predicted:
             raise InvariantViolation(
                 "eta: KO^%d/K of %s is not the 2-torsion of KO^%d" % (2 * i, space, d))
     return True
@@ -185,12 +187,12 @@ def mod2_ranks(space: SpaceDescriptor) -> Mod2Ranks:
         return Mod2Ranks(None, None, k0_log2, k1_rank, signal="eta-obstructed")
     w_ranks = tuple(mod2_rank(w(space, i)) for i in range(4))
     w_row = tuple(w_ranks[i] + w_ranks[(i + 1) % 4] for i in range(4))
-    quotients = tuple(kok(space, 2 * i) for i in range(4))
-    kok_row = tuple(
+    quotients = kok_row(space)
+    kok_ranks = tuple(
         mod2_rank(quotients[i]) + mod2_rank(quotients[(i + 1) % 4])
         for i in range(4)
     )
-    return Mod2Ranks(w_row, kok_row, k0_log2, 0)
+    return Mod2Ranks(w_row, kok_ranks, k0_log2, 0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,8 @@ def ql_hermitian_verdict(space: SpaceDescriptor) -> QlReport:
     verdict = onto and k1_rank == 0
     checked = ()
     if verdict:
-        for i in range(4):
-            if not (w(space, i) == kok(space, 2 * i)):
+        for i, quotient in enumerate(kok_row(space)):
+            if not (w(space, i) == quotient):
                 raise InvariantViolation(
                     "W^%d and KO^%d/K of %s differ" % (i, 2 * i, space))
         if not (mod2_ranks(space).w is not None):
@@ -249,16 +251,16 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     else:
         ko = tuple(_wedge(space, d) for d in range(8))
         ko_red = tuple(cancel(g, ko_point(d)) for d, g in enumerate(ko))
-    kok_row = tuple(kok(space, 2 * i, tw) for i in range(4))
+    quotients = kok_row(space, tw)
     return KoTable(
         kind=space.kind,
         twist=tw,
         ko=ko,
         ko_reduced=ko_red,
         k0_graded=k_top_graded(space),
-        kok=kok_row,
+        kok=quotients,
         kok_reduced=tuple(cancel_point(g, _KOK_POINT[i], tw)
-                          for i, g in enumerate(kok_row)),
+                          for i, g in enumerate(quotients)),
     )
 
 

@@ -38,13 +38,12 @@ from .groups import (
     render,
 )
 from .spaces import (
-    MOD2,
     SpaceDescriptor,
     betti,
     c1_rank,
-    cohomology,
     etale_h,
     make_point,
+    mod2_betti,
     picard,
     require_kind,
 )
@@ -85,7 +84,7 @@ def cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
 
 def _gw(space: SpaceDescriptor, i: int, tw: str) -> SymGroup:
     """GW^i of the point or a curve under the normalized twist ``tw``."""
-    b1, deg = cohomology(space, 1, MOD2).ngens, cohomology(space, 2, MOD2).ngens
+    b1, deg = mod2_betti(space.h_int_table, 1), mod2_betti(space.h_int_table, 2)
     jac = picard(space).divisible_rank
     # GW^i as (free rank, number of Z/2, divisible rank); deg = h^2 is 1
     # exactly on a projective curve, and the point has b1 = deg = jac = 0
@@ -146,10 +145,14 @@ def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     """W^i of any space, elementary_two of one count over its Picard and Chow
     data: untwisted, 1 + h^1 + h^2 - rank c1, rank Pic/2 - rank s1 + h^3,
     ch2 - rank s1 and 0; under O(p), a curve's paper row h^1, 0, 0, 0."""
-    def h(p):  # h^p = rank H^p(Z/2), 0 above the real dimension
-        return cohomology(space, p, MOD2).ngens
+    return _w(space, i, check_twist(space, twist))
 
-    tw = check_twist(space, twist)
+
+def _w(space: SpaceDescriptor, i: int, tw: str) -> SymGroup:
+    """W^i under the normalized twist ``tw``."""
+    def h(p):  # h^p = rank H^p(Z/2), 0 above the real dimension
+        return mod2_betti(space.h_int_table, p)
+
     i %= 4
     if tw == ODD_TWIST:
         count = h(1) if i == 0 else 0
@@ -199,7 +202,7 @@ class WittTable:
 
 def witt_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> WittTable:
     tw = check_twist(space, twist)
-    w_row = tuple(w(space, i, tw) for i in range(4))
+    w_row = tuple(_w(space, i, tw) for i in range(4))
     if space.dim == 2:  # GW of a surface is out of contract
         gw_row = gw_red = (None,) * 4
     else:
@@ -334,9 +337,9 @@ def _hyperbolic_map(k_fg: SymGroup, shadow: SymGroup, rows: tuple) -> GroupMap:
 def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
     require_kind(space, "curve")
     tw = check_twist(space, twist)
-    gw_reds = tuple(gw_curve_reduced(space, i, tw) for i in range(4))
+    gw_reds = tuple(cancel_point(_gw(space, i, tw), gw_point(i), tw) for i in range(4))
     gw_fg = tuple(SymGroup(g.free_rank, g.torsion, 0) for g in gw_reds)
-    coords, im_cols, touched, _ = _karoubi_case(space, tw)
+    coords, im_cols, touched, fh_cols = _karoubi_case(space, tw)
     k_fg = free(len(coords))
     jac_rank = picard(space).divisible_rank
     expected_split = _split_flags(space, tw)
@@ -350,7 +353,7 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
         failures = []
         incl, (s_fg, _) = incls[(i - 1) % 4], cokers[(i - 1) % 4]
         gw_red = gw_reds[i]
-        w_red = w_reduced(space, i, tw)
+        w_red = cancel_point(_w(space, i, tw), w_point(i), tw)
 
         h_map = _hyperbolic_map(k_fg, gw_fg[i], touched[i])
         w_fg, w_proj = cokernel_map(h_map)
@@ -374,11 +377,11 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
         if split != expected_split[i]:
             failures.append("split-flag")
 
-        fh = fh_image(space, i, tw)
+        # the columns fh_image gives; F.H covers the Jacobian at odd shifts
         if any(not composite_is_zero(GroupMap(Z, k_fg, tuple((x,) for x in c)), cokers[i][1])
-               for c in fh.columns):
+               for c in fh_cols[i % 2]):
             failures.append("fh-lattice")
-        if fh.jac and _IM_F_DIV[i] != _DIV_FULL:
+        if i % 2 and _IM_F_DIV[i] != _DIV_FULL:
             failures.append("fh-jacobian")
 
         nodes.append(KaroubiNode(

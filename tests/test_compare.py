@@ -268,7 +268,7 @@ def test_cross_checks_raise_under_python_O():
         "    forced(T, 'w', lambda s, i: Z, lambda: T.ql_hermitian_verdict(make_point())),\n"
         "    forced(C, 'w', lambda s, i, tw: Z, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
         "    forced(C, 'pic_surjective', lambda s: False, lambda: C.compare_w_kok(p2)),\n"
-        "    forced(C, 'kok', lambda s, i, tw: Z, lambda: C.compare_w_kok(p2)),\n"
+        "    forced(C, 'kok_row', lambda s, tw: (Z,) * 4, lambda: C.compare_w_kok(p2)),\n"
         "])\n"
     )
     root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)

@@ -313,8 +313,13 @@ def reference_homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
 # 2-groups, copied verbatim (only renamed, divisible guard dropped). That
 # route must give the same cokernel group and a valid projection; its
 # projection may differ, because U depends on integer entries that an F2
-# reduction cannot see.
-_smith, _column = groups._smith, groups._column
+# reduction cannot see. ``_column`` is the package's column reader of that
+# time, copied verbatim.
+_smith = groups._smith
+
+
+def _column(m, j: int, nrows: int):
+    return tuple([m[i][j] for i in range(nrows)])
 
 
 def reference_cokernel_map(f: GroupMap):
