@@ -4,7 +4,9 @@ Two indexing conventions are supported. "cohomological" pages carry
 differentials of bidegree (r, -r+1) and total degree s+t; "pardon" pages
 carry differentials of bidegree (1, r-1) and are graded by the column s
 alone. Entries are SymGroups, differentials are GroupMaps between them, and
-turning a page replaces every entry by kernel(outgoing)/image(incoming).
+turning a page replaces every entry by kernel(outgoing)/image(incoming): by
+F2 ranks, each differential ranked once, where that entry and the outgoing
+target are elementary 2-groups, and by ``homology_at`` everywhere else.
 
 Three builders instantiate the engine: pardon_e2 (Witt groups of every
 space), ahss_ko and ahss_k (topological KO and K of the underlying
@@ -25,6 +27,7 @@ from .groups import (
     composite_is_zero,
     elementary_two,
     exponent_two,
+    f2_rank,
     homology_at,
     is_elementary_two,
     mod2,
@@ -74,10 +77,13 @@ class BigradedPage:
     differentials: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.r) is not int or self.r < 0:
+            raise MalformedPage("page index r must be an int >= 0, got %r" % (self.r,))
         ds, dt = bidegree(self.convention, self.r)
         kept = {}
         for pos, grp in self.entries.items():
-            if not (isinstance(pos, tuple) and len(pos) == 2):
+            if not (isinstance(pos, tuple) and len(pos) == 2
+                    and type(pos[0]) is int and type(pos[1]) is int):
                 raise MalformedPage("entry position %r is not an (s, t) pair" % (pos,))
             if not isinstance(grp, SymGroup):
                 raise MalformedPage("entry at %r is not a SymGroup" % (pos,))
@@ -88,14 +94,15 @@ class BigradedPage:
         object.__setattr__(self, "entries", kept)
         diffs = dict(self.differentials)
         for pos, gm in diffs.items():
-            tgt = (pos[0] + ds, pos[1] + dt)
-            if pos not in kept:
+            if pos not in kept:  # kept holds (s, t) pairs only
                 raise MalformedPage("differential leaves empty position %r" % (pos,))
+            tgt = (pos[0] + ds, pos[1] + dt)
             if tgt not in kept:
                 raise MalformedPage(
                     "differential %r -> %r lands on an empty position" % (pos, tgt)
                 )
-            if gm.domain != kept[pos] or gm.codomain != kept[tgt]:
+            if not (isinstance(gm, GroupMap) and gm.domain == kept[pos]
+                    and gm.codomain == kept[tgt]):
                 raise MalformedPage(
                     "differential at %r does not match the entries" % (pos,)
                 )
@@ -103,12 +110,9 @@ class BigradedPage:
         for pos, gm in diffs.items():
             tgt = (pos[0] + ds, pos[1] + dt)
             nxt = diffs.get(tgt)
-            if nxt is not None:
-                if not composite_is_zero(gm, nxt):
-                    raise MalformedPage(
-                        "differentials at %r and %r do not compose to zero"
-                        % (pos, tgt)
-                    )
+            if nxt is not None and not composite_is_zero(gm, nxt):
+                raise MalformedPage(
+                    "differentials at %r and %r do not compose to zero" % (pos, tgt))
         object.__setattr__(self, "differentials", diffs)
 
     def group_at(self, s: int, t: int) -> SymGroup:
@@ -116,23 +120,32 @@ class BigradedPage:
 
 
 def turn_page(page: BigradedPage) -> BigradedPage:
-    """Homology at every position; the next page's differentials are zero."""
+    """Homology at every position; the next page's differentials are zero.
+
+    Elementary 2-group entries whose maps all land in elementary 2-groups read
+    it off F2 ranks, each map ranked once (a zero one with no echelon); other
+    entries go through ``homology_at``. A page with no differentials only
+    relabels r. The next page is built from checked entries, so not checked again."""
     ds, dt = bidegree(page.convention, page.r)
+    rank = {pos: f2_rank(gm.matrix) if any(map(any, gm.matrix)) else 0
+            for pos, gm in page.differentials.items() if is_elementary_two(gm.codomain)}
     new_entries = {}
     for pos, grp in page.entries.items():
+        src = (pos[0] - ds, pos[1] - dt)
         outgoing = page.differentials.get(pos)
-        incoming = page.differentials.get((pos[0] - ds, pos[1] - dt))
+        incoming = page.differentials.get(src)
         if incoming is None and outgoing is None:
             h = grp
+        elif is_elementary_two(grp) and (outgoing is None or pos in rank):
+            h = elementary_two(grp.ngens - rank.get(src, 0) - rank.get(pos, 0))
         else:
             h = homology_at(incoming, outgoing)
         if not h.is_trivial:
             new_entries[pos] = h
-    return BigradedPage(
-        entries=new_entries,
-        r=page.r + 1,
-        convention=page.convention,
-    )
+    nxt = object.__new__(BigradedPage)
+    vars(nxt).update(entries=new_entries, r=page.r + 1, convention=page.convention,
+                     differentials={})
+    return nxt
 
 
 def _total_degree(convention: str, pos) -> int:
@@ -331,9 +344,10 @@ def _ahss_page(space, point, q_lo: int) -> BigradedPage:
     """
     rows = sorted((q for q in range(0, q_lo - 1, -1) if point[q % 8] in _COEFFICIENTS),
                   key=lambda q: point[q % 8] == Z2)  # Z rows first
-    cells = ((p, q, singular_h(space, p, _COEFFICIENTS[point[q % 8]]))
-             for q in rows for p in range(2 * space.dim + 1))
-    entries = {(p, q): g for p, q, g in cells if not g.is_trivial}
+    h = {c: [singular_h(space, p, _COEFFICIENTS[c]) for p in range(2 * space.dim + 1)]
+         for c in {point[q % 8] for q in rows}}  # each row repeats one of these
+    entries = {(p, q): g for q in rows for p, g in enumerate(h[point[q % 8]])
+               if not g.is_trivial}
     sq = {Z2: space.sq2, Z: sq2_integral(space)} if Z2 in point else {}  # by source row
     diffs = {}
     for (p, q), src in entries.items():

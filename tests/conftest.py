@@ -21,3 +21,22 @@ def eliminations(monkeypatch):
 
     monkeypatch.setattr(groups, "_smith", counted)
     return calls
+
+
+@pytest.fixture
+def f2_echelons(monkeypatch):
+    """A list that gains one entry per F2 echelon during the test.
+
+    ``f2_rank`` and ``cokernel_map`` both run ``groups._f2_echelon``, the one
+    elimination over F2, so wrapping it by name counts them all. Clear the
+    list between calls counted apart.
+    """
+    calls = []
+    core = groups._f2_echelon
+
+    def counted(vectors):
+        calls.append(None)
+        return core(vectors)
+
+    monkeypatch.setattr(groups, "_f2_echelon", counted)
+    return calls
