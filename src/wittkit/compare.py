@@ -22,8 +22,8 @@ from .spaces import (
     sq2_integral,
     sq2z_on_pic,
 )
-from .topko import kok_reduced, kok_row
-from .witt import TRIVIAL_TWIST, check_twist, w, w_reduced
+from .topko import KOK_POINT, kok_row
+from .witt import TRIVIAL_TWIST, check_twist, minus_point, w_point, w_row
 
 CURVE_ALWAYS_ISO = "curve-always-iso"
 SURFACE_ISO = "surface-iso"
@@ -57,21 +57,14 @@ class ComparisonReport:
 
 def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonReport:
     tw = check_twist(space, twist)
-    rows = []
-    mismatch = None
-    for i, k_grp in enumerate(kok_row(space, tw)):
-        w_grp = w(space, i, tw)
-        iso = w_grp == k_grp
-        rows.append(ShiftRow(i, w_grp, k_grp, iso))
-        if not iso and mismatch is None:
-            if i == 0:
-                mismatch = (
-                    0,
-                    mod2_rank(w_reduced(space, 0, tw)),
-                    mod2_rank(kok_reduced(space, 0, tw)),
-                )
-            else:
-                mismatch = (i, mod2_rank(w_grp), mod2_rank(k_grp))
+    rows = tuple([ShiftRow(i, w_grp, k_grp, w_grp == k_grp) for i, (w_grp, k_grp)
+                  in enumerate(zip(w_row(space, tw), kok_row(space, tw)))])
+    bad, mismatch = next((row for row in rows if not row.iso), None), None
+    if bad is not None:
+        w_grp, k_grp = bad.w, bad.kok
+        if bad.shift == 0:  # the reduced groups, read off the rows
+            w_grp, k_grp = minus_point(w_grp, w_point(0), tw), minus_point(k_grp, KOK_POINT[0], tw)
+        mismatch = (bad.shift, mod2_rank(w_grp), mod2_rank(k_grp))
     onto = pic_surjective(space)
     if space.kind != "surface":
         verdict = CURVE_ALWAYS_ISO
@@ -91,7 +84,7 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
         kind=space.kind,
         twist=tw,
         pic_surjective=onto,
-        rows=tuple(rows),
+        rows=rows,
         verdict=verdict,
         mismatch=mismatch,
     )

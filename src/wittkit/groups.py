@@ -25,10 +25,11 @@ a 0-by-n matrix is ``()``; functions that cannot infer a dimension from the
 data take it explicitly; ``mat_mul`` refuses a ragged operand. Tuples are
 built from lists: a tuple built from a generator is resized, never reusing a
 freed one, so CPython's free lists fill. The constructors' checks and
-``mat_mul`` (by columns) run per entry in C builtins, not in generators. A
-map's relations are checked row by row over the codomain: a factor dividing
-the domain's first invariant factor imposes nothing. The F2 echelon reduces
-each vector through a dict keyed on its lowest bit.
+``mat_mul`` (by columns) run per entry in C builtins. ``from_counts`` builds
+Z^a + (Z/2)^b + D(t), the shape of every table row and of ``elementary_two``,
+with no per-factor check, which ``SymGroup(...)`` keeps. A map's relations are
+checked row by row over the codomain: a factor dividing the domain's first
+invariant factor imposes nothing. The F2 echelon keys vectors on their lowest bit.
 """
 
 from __future__ import annotations
@@ -317,9 +318,17 @@ def cyclic(n: int) -> SymGroup:
 
 
 def elementary_two(rank: int) -> SymGroup:
-    if rank < 0:
+    return from_counts(0, rank)
+
+
+def from_counts(free_rank: int, twos: int, div: int = 0) -> SymGroup:
+    """Z^free_rank + (Z/2)^twos + D(div) from its counts. A chain of 2's is
+    valid by construction, so no factor is checked; a negative count is refused."""
+    if min(free_rank, twos, div) < 0:
         raise ValueError("negative rank in SymGroup")
-    return SymGroup(torsion=(2,) * rank)
+    g = object.__new__(SymGroup)
+    vars(g).update(free_rank=free_rank, torsion=(2,) * twos, divisible_rank=div)
+    return g
 
 
 def divisible(two_torsion_rank: int) -> SymGroup:
@@ -349,7 +358,7 @@ def _chain(factors) -> tuple:
     if n < 2:
         return tuple(factors)
     rel = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(factors)]
-    return tuple(d for d in snf_diagonal(rel, n, n) if d >= 2)
+    return tuple([d for d in snf_diagonal(rel, n, n) if d >= 2])
 
 
 def direct_sum(a: SymGroup, b: SymGroup) -> SymGroup:

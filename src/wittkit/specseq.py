@@ -16,6 +16,7 @@ rather than silently dropped.
 """
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import MalformedPage
 from .groups import (
@@ -68,7 +69,7 @@ class BigradedPage:
     ``entries`` maps (s, t) to a nonzero SymGroup; missing positions are
     zero. ``differentials`` maps a source position to the GroupMap leaving
     it; the target position is determined by the convention's bidegree.
-    Missing differentials are zero maps.
+    Missing differentials are zero maps. Both are read-only once checked.
     """
 
     entries: dict
@@ -91,7 +92,7 @@ class BigradedPage:
                 raise MalformedPage("entry at %r carries a divisible summand" % (pos,))
             if not grp.is_trivial:
                 kept[pos] = grp
-        object.__setattr__(self, "entries", kept)
+        object.__setattr__(self, "entries", MappingProxyType(kept))
         diffs = dict(self.differentials)
         for pos, gm in diffs.items():
             if pos not in kept:  # kept holds (s, t) pairs only
@@ -99,21 +100,18 @@ class BigradedPage:
             tgt = (pos[0] + ds, pos[1] + dt)
             if tgt not in kept:
                 raise MalformedPage(
-                    "differential %r -> %r lands on an empty position" % (pos, tgt)
-                )
+                    "differential %r -> %r lands on an empty position" % (pos, tgt))
             if not (isinstance(gm, GroupMap) and gm.domain == kept[pos]
                     and gm.codomain == kept[tgt]):
-                raise MalformedPage(
-                    "differential at %r does not match the entries" % (pos,)
-                )
-        # consecutive differentials must compose to zero
-        for pos, gm in diffs.items():
+                raise MalformedPage("differential at %r does not match the entries" % (pos,))
+        # consecutive differentials must compose to zero; a zero map does
+        nonzero = {pos for pos, gm in diffs.items() if any(map(any, gm.matrix))}
+        for pos in nonzero:
             tgt = (pos[0] + ds, pos[1] + dt)
-            nxt = diffs.get(tgt)
-            if nxt is not None and not composite_is_zero(gm, nxt):
+            if tgt in nonzero and not composite_is_zero(diffs[pos], diffs[tgt]):
                 raise MalformedPage(
                     "differentials at %r and %r do not compose to zero" % (pos, tgt))
-        object.__setattr__(self, "differentials", diffs)
+        object.__setattr__(self, "differentials", MappingProxyType(diffs))
 
     def group_at(self, s: int, t: int) -> SymGroup:
         return self.entries.get((s, t), TRIVIAL)
@@ -143,8 +141,8 @@ def turn_page(page: BigradedPage) -> BigradedPage:
         if not h.is_trivial:
             new_entries[pos] = h
     nxt = object.__new__(BigradedPage)
-    vars(nxt).update(entries=new_entries, r=page.r + 1, convention=page.convention,
-                     differentials={})
+    vars(nxt).update(entries=MappingProxyType(new_entries), r=page.r + 1,
+                     convention=page.convention, differentials=MappingProxyType({}))
     return nxt
 
 

@@ -7,10 +7,11 @@ sum of b_p copies of KO^(n-p) of a point. KO/K of every space is one rank
 formula over cell data: the integral cohomology H^0..H^4 and the rank of
 Sq2 from H^2(Z)/2 to H^4(Z/2), read off the Atiyah-Hirzebruch page.
 Realification followed by complexification is multiplication by 2, so every
-quotient has exponent two, and the formula counts its Z/2 summands. A curve
-twisted by O(p) is read off the Thom space of O(p), whose Sq2 is onto its
-top cell by Wu's formula. Odd KO totals of surfaces are never emitted: the
-quotient formulas do not need them.
+quotient has exponent two, and the formula counts its Z/2 summands. A
+reduced row is the count minus the point's count. A curve twisted by O(p) is
+read off the Thom space of O(p), whose Sq2 is onto its top cell by Wu's
+formula. Odd KO totals of surfaces are never emitted: the quotient formulas
+do not need them.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .groups import (
     TRIVIAL,
     Z,
     SymGroup,
-    cancel,
     elementary_two,
     even_count,
     f2_rank,
+    from_counts,
     mod2_rank,
     render,
     two_torsion,
@@ -41,7 +42,7 @@ from .spaces import (
     sq2_integral,
 )
 from .specseq import KO_POINT as _KO_POINT, ahss_ko
-from .witt import ODD_TWIST, TRIVIAL_TWIST, cancel_point, check_twist, w
+from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, w_row
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def _wedge(space: SpaceDescriptor, n: int) -> SymGroup:
         g = _KO_POINT[(n - p) % 8]
         free_rank += b * g.free_rank
         twos += b * len(g.torsion)
-    return SymGroup(free_rank, (2,) * twos, 0)
+    return from_counts(free_rank, twos)
 
 
 def ko_point(d: int) -> SymGroup:
@@ -70,8 +71,8 @@ def ko_curve(space: SpaceDescriptor, d: int) -> SymGroup:
 
 
 def ko_curve_reduced(space: SpaceDescriptor, d: int) -> SymGroup:
-    """Total KO^d minus the KO^d of a point."""
-    return cancel(ko_curve(space, d), ko_point(d))
+    """Total KO^d minus the KO^d of a point: the wedge less its basepoint cell."""
+    return minus_point(ko_curve(space, d), ko_point(d), TRIVIAL_TWIST)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def _kok_count(h_int: tuple, sq2_rank: int, i: int) -> int:
     return 0
 
 
-_KOK_POINT = tuple(elementary_two(_kok_count((Z,), 0, i)) for i in range(4))
+KOK_POINT = tuple([elementary_two(_kok_count((Z,), 0, i)) for i in range(4)])
 
 
 def kok_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
@@ -120,7 +121,7 @@ def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
 
 def kok_reduced(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
     tw = check_twist(space, twist)
-    return cancel_point(kok(space, shift, tw), _KOK_POINT[(shift % 8) // 2], tw)
+    return minus_point(kok(space, shift, tw), KOK_POINT[(shift % 8) // 2], tw)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +186,9 @@ def mod2_ranks(space: SpaceDescriptor) -> Mod2Ranks:
     k0_log2 = sum(mod2_rank(g) for g in k_top_graded(space)) + k1_rank
     if k1_rank:
         return Mod2Ranks(None, None, k0_log2, k1_rank, signal="eta-obstructed")
-    w_ranks = tuple(mod2_rank(w(space, i)) for i in range(4))
-    w_row = tuple(w_ranks[i] + w_ranks[(i + 1) % 4] for i in range(4))
-    quotients = kok_row(space)
-    kok_ranks = tuple(
-        mod2_rank(quotients[i]) + mod2_rank(quotients[(i + 1) % 4])
-        for i in range(4)
-    )
-    return Mod2Ranks(w_row, kok_ranks, k0_log2, 0)
+    ranks = [[mod2_rank(g) for g in row] for row in (w_row(space), kok_row(space))]
+    w_sums, kok_sums = [tuple([r[i] + r[(i + 1) % 4] for i in range(4)]) for r in ranks]
+    return Mod2Ranks(w_sums, kok_sums, k0_log2, 0)
 
 
 @dataclass(frozen=True)
@@ -212,8 +208,8 @@ def ql_hermitian_verdict(space: SpaceDescriptor) -> QlReport:
     verdict = onto and k1_rank == 0
     checked = ()
     if verdict:
-        for i, quotient in enumerate(kok_row(space)):
-            if not (w(space, i) == quotient):
+        for i, (w_grp, quotient) in enumerate(zip(w_row(space), kok_row(space))):
+            if not (w_grp == quotient):
                 raise InvariantViolation(
                     "W^%d and KO^%d/K of %s differ" % (i, 2 * i, space))
         if not (mod2_ranks(space).w is not None):
@@ -249,8 +245,8 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     if space.kind == "surface" or tw == ODD_TWIST:
         ko = ko_red = (None,) * 8
     else:
-        ko = tuple(_wedge(space, d) for d in range(8))
-        ko_red = tuple(cancel(g, ko_point(d)) for d, g in enumerate(ko))
+        ko = tuple([_wedge(space, d) for d in range(8)])
+        ko_red = tuple([minus_point(g, p, tw) for g, p in zip(ko, _KO_POINT)])
     quotients = kok_row(space, tw)
     return KoTable(
         kind=space.kind,
@@ -259,8 +255,7 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
         ko_reduced=ko_red,
         k0_graded=k_top_graded(space),
         kok=quotients,
-        kok_reduced=tuple(cancel_point(g, _KOK_POINT[i], tw)
-                          for i, g in enumerate(quotients)),
+        kok_reduced=tuple([minus_point(g, p, tw) for g, p in zip(quotients, KOK_POINT)]),
     )
 
 

@@ -2,8 +2,9 @@
 
 W of every space is one count of Z/2 summands; GW of the point and of curves
 (all shifts, both twist classes, read from Pic/2) is one count of Z, Z/2 and
-divisible summands. Also here: the Karoubi-sequence bookkeeping that ties the
-GW tables to K_0, and Stiefel-Whitney arithmetic over structure-constant rings.
+divisible summands. A reduced row is the count minus the point's count. Also
+here: the Karoubi-sequence bookkeeping that ties the GW tables to K_0, and
+Stiefel-Whitney arithmetic over structure-constant rings.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .groups import (
     elementary_two,
     f2_rank,
     free,
+    from_counts,
     image_rank2,
     mod2_rank,
     render,
@@ -78,12 +80,24 @@ def cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
     return total if twist == ODD_TWIST else cancel(total, point_group)
 
 
+def minus_point(total: SymGroup, point: SymGroup, twist) -> SymGroup:
+    """``cancel_point`` by count, as every reduced row is: the space's Z, Z/2 and D
+    summands minus the point's; a negative count raises even under ``python -O``."""
+    if twist == ODD_TWIST:
+        return total
+    counts = (total.free_rank - point.free_rank, len(total.torsion) - len(point.torsion),
+              total.divisible_rank - point.divisible_rank)
+    if min(counts) < 0:
+        raise InvariantViolation("%s is not a summand of %s" % (render(point), render(total)))
+    return from_counts(*counts)
+
+
 # ---------------------------------------------------------------------------
 # point and curves
 
 
-def _gw(space: SpaceDescriptor, i: int, tw: str) -> SymGroup:
-    """GW^i of the point or a curve under the normalized twist ``tw``."""
+def _gw_row(space: SpaceDescriptor, tw: str) -> tuple:
+    """GW^0..GW^3 of the point or a curve under the normalized twist ``tw``."""
     b1, deg = mod2_betti(space.h_int_table, 1), mod2_betti(space.h_int_table, 2)
     jac = picard(space).divisible_rank
     # GW^i as (free rank, number of Z/2, divisible rank); deg = h^2 is 1
@@ -92,11 +106,10 @@ def _gw(space: SpaceDescriptor, i: int, tw: str) -> SymGroup:
         table = ((1, b1, 0), (1, 0, jac), (1, 0, 0), (1, 0, jac))
     else:
         table = ((1, b1 + deg, 0), (deg, 0, jac), (1, 0, 0), (deg, 1, jac))
-    free_rank, twos, div = table[i % 4]
-    return SymGroup(free_rank, (2,) * twos, div)
+    return tuple([from_counts(*counts) for counts in table])
 
 
-_GW_POINT = tuple([_gw(make_point(), i, TRIVIAL_TWIST) for i in range(4)])
+_GW_POINT = _gw_row(make_point(), TRIVIAL_TWIST)
 
 
 def gw_point(i: int) -> SymGroup:
@@ -109,7 +122,7 @@ def w_point(i: int) -> SymGroup:
 
 def gw_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     require_kind(space, "curve")
-    return _gw(space, i, check_twist(space, twist))
+    return _gw_row(space, check_twist(space, twist))[i % 4]
 
 
 def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -118,7 +131,7 @@ def w_curve(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
 
 
 def gw_curve_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    return cancel_point(gw_curve(space, i, twist), gw_point(i), twist)
+    return minus_point(gw_curve(space, i, twist), gw_point(i), twist)
 
 
 # ---------------------------------------------------------------------------
@@ -145,48 +158,41 @@ def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     """W^i of any space, elementary_two of one count over its Picard and Chow
     data: untwisted, 1 + h^1 + h^2 - rank c1, rank Pic/2 - rank s1 + h^3,
     ch2 - rank s1 and 0; under O(p), a curve's paper row h^1, 0, 0, 0."""
-    return _w(space, i, check_twist(space, twist))
+    return w_row(space, twist)[i % 4]
 
 
-def _w(space: SpaceDescriptor, i: int, tw: str) -> SymGroup:
-    """W^i under the normalized twist ``tw``."""
-    def h(p):  # h^p = rank H^p(Z/2), 0 above the real dimension
-        return mod2_betti(space.h_int_table, p)
+def w_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
+    """W^0..W^3 of the space, from one rank of c1 and one of s1."""
+    return _w_row(space, check_twist(space, twist))
 
-    i %= 4
+
+def _w_row(space: SpaceDescriptor, tw: str) -> tuple:
+    """``w_row`` under the normalized twist ``tw``; h^p = rank H^p(Z/2)."""
+    h1, h2, h3 = [mod2_betti(space.h_int_table, p) for p in (1, 2, 3)]
     if tw == ODD_TWIST:
-        count = h(1) if i == 0 else 0
-    elif i == 0:
-        count = 1 + h(1) + h(2) - c1_rank(space)
-    elif i == 1:
-        count = mod2_rank(picard(space)) - f2_rank(space.s1) + h(3)
-    elif i == 2:
-        count = space.ch2_mod2_rank - f2_rank(space.s1)
+        counts = (h1, 0, 0, 0)
     else:
-        count = 0
-    g = elementary_two(count)
+        s1 = f2_rank(space.s1)
+        counts = (1 + h1 + h2 - c1_rank(space), mod2_rank(picard(space)) - s1 + h3,
+                  space.ch2_mod2_rank - s1, 0)
+    row = tuple([elementary_two(count) for count in counts])
     if space.kind == "surface" and space.projective:
         # Betti-number forms of the same groups; a second route through the data
-        b = betti(space)
-        s1_rank = f2_rank(space.s1)
-        ok = True
-        if i == 0:
-            ok = mod2_rank(g) - 1 == b[1] + b[2] - space.rho + 2 * space.nu
-        elif i == 1:
-            ok = mod2_rank(g) == b[1] + space.rho + 2 * space.nu - s1_rank
-        elif i == 2:
-            ok = mod2_rank(g) == space.ch2_mod2_rank - s1_rank
-        if not ok:
+        b, rho, nu = betti(space), space.rho, space.nu
+        forms = (1 + b[1] + b[2] - rho + 2 * nu, b[1] + rho + 2 * nu - s1,
+                 space.ch2_mod2_rank - s1)
+        bad = [i for i, (g, form) in enumerate(zip(row, forms)) if mod2_rank(g) != form]
+        if bad:
             raise InvariantViolation(
-                "W^%d of %s disagrees with its Betti-number form" % (i, space))
-    return g
+                "W^%d of %s disagrees with its Betti-number form" % (bad[0], space))
+    return row
 
 
-_W_POINT = tuple([w(make_point(), i) for i in range(4)])
+_W_POINT = w_row(make_point())
 
 
 def w_reduced(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
-    return cancel_point(w(space, i, twist), w_point(i), twist)
+    return minus_point(w(space, i, twist), w_point(i), twist)
 
 
 @dataclass(frozen=True)
@@ -202,19 +208,19 @@ class WittTable:
 
 def witt_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> WittTable:
     tw = check_twist(space, twist)
-    w_row = tuple(_w(space, i, tw) for i in range(4))
+    row = _w_row(space, tw)
     if space.dim == 2:  # GW of a surface is out of contract
         gw_row = gw_red = (None,) * 4
     else:
-        gw_row = tuple([_gw(space, i, tw) for i in range(4)])
-        gw_red = tuple(cancel_point(g, gw_point(i), tw) for i, g in enumerate(gw_row))
+        gw_row = _gw_row(space, tw)
+        gw_red = tuple([minus_point(g, p, tw) for g, p in zip(gw_row, _GW_POINT)])
     return WittTable(
         kind=space.kind,
         twist=tw,
         gw=gw_row,
-        w=w_row,
+        w=row,
         gw_reduced=gw_red,
-        w_reduced=tuple(cancel_point(g, w_point(i), tw) for i, g in enumerate(w_row)),
+        w_reduced=tuple([minus_point(g, p, tw) for g, p in zip(row, _W_POINT)]),
         flags={"karoubi_split": list(_split_flags(space, tw))}
         if space.kind == "curve" else {},
     )
@@ -325,8 +331,8 @@ class KaroubiReport:
 def _split_flags(space: SpaceDescriptor, tw: str) -> tuple:
     # GW^i splits as (image of K_0) + W^i exactly when the row H^i touches is
     # primitive; the only nonsplit extension is untwisted projective GW^1
-    return tuple(all(gcd(*row) == 1 for row in rows)
-                 for rows in _karoubi_case(space, tw)[2])
+    return tuple([all(gcd(*row) == 1 for row in rows)
+                  for rows in _karoubi_case(space, tw)[2]])
 
 
 def _hyperbolic_map(k_fg: SymGroup, shadow: SymGroup, rows: tuple) -> GroupMap:
@@ -337,23 +343,22 @@ def _hyperbolic_map(k_fg: SymGroup, shadow: SymGroup, rows: tuple) -> GroupMap:
 def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
     require_kind(space, "curve")
     tw = check_twist(space, twist)
-    gw_reds = tuple(cancel_point(_gw(space, i, tw), gw_point(i), tw) for i in range(4))
-    gw_fg = tuple(SymGroup(g.free_rank, g.torsion, 0) for g in gw_reds)
+    gw_reds = [minus_point(g, p, tw) for g, p in zip(_gw_row(space, tw), _GW_POINT)]
+    w_reds = [minus_point(g, p, tw) for g, p in zip(_w_row(space, tw), _W_POINT)]
+    gw_fg = tuple([SymGroup(g.free_rank, g.torsion, 0) for g in gw_reds])
     coords, im_cols, touched, fh_cols = _karoubi_case(space, tw)
     k_fg = free(len(coords))
     jac_rank = picard(space).divisible_rank
     expected_split = _split_flags(space, tw)
     # im F on GW^i included into the K_0 shadow, and its cokernel: the
     # S-piece of shift i + 1 and the lattice that F.H at shift i must land in
-    incls = tuple(GroupMap(free(len(cols)), k_fg, tuple(zip(*cols)) or ((),) * k_fg.ngens)
-                  for cols in im_cols)
-    cokers = tuple(cokernel_map(incl) for incl in incls)
+    incls = tuple([GroupMap(free(len(cols)), k_fg, tuple(zip(*cols)) or ((),) * k_fg.ngens)
+                   for cols in im_cols])
+    cokers = tuple([cokernel_map(incl) for incl in incls])
     nodes = []
-    for i in range(4):
+    for i, (gw_red, w_red) in enumerate(zip(gw_reds, w_reds)):
         failures = []
         incl, (s_fg, _) = incls[(i - 1) % 4], cokers[(i - 1) % 4]
-        gw_red = gw_reds[i]
-        w_red = cancel_point(_w(space, i, tw), w_point(i), tw)
 
         h_map = _hyperbolic_map(k_fg, gw_fg[i], touched[i])
         w_fg, w_proj = cokernel_map(h_map)
@@ -378,7 +383,7 @@ def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
             failures.append("split-flag")
 
         # the columns fh_image gives; F.H covers the Jacobian at odd shifts
-        if any(not composite_is_zero(GroupMap(Z, k_fg, tuple((x,) for x in c)), cokers[i][1])
+        if any(not composite_is_zero(GroupMap(Z, k_fg, tuple([(x,) for x in c])), cokers[i][1])
                for c in fh_cols[i % 2]):
             failures.append("fh-lattice")
         if i % 2 and _IM_F_DIV[i] != _DIV_FULL:

@@ -243,13 +243,17 @@ def test_report_json_twisted_round_trip():
 
 def test_cross_checks_raise_under_python_O():
     # each former bare assert, forced to fail by patching one of its inputs,
-    # must still raise when -O strips assert statements
+    # must still raise when -O strips assert statements. ql_hermitian_verdict
+    # and compare_w_kok read the W row from w_row, and in compare_w_kok a row
+    # of Z/2's reaches its sufficiency check;
+    # the last two cases force a negative reduced count, in compare_w_kok's
+    # shift-0 mismatch ranks and in witt_table's reduced row
     child = (
         "import sys\n"
         "import wittkit.compare as C, wittkit.specseq as S, wittkit.topko as T, wittkit.witt as W\n"
         "from wittkit.catalog import catalog_get\n"
         "from wittkit.errors import InvariantViolation\n"
-        "from wittkit.groups import TRIVIAL, Z\n"
+        "from wittkit.groups import TRIVIAL, Z, Z2\n"
         "from wittkit.spaces import make_curve, make_point\n"
         "def forced(module, name, value, call):\n"
         "    original = getattr(module, name)\n"
@@ -265,10 +269,12 @@ def test_cross_checks_raise_under_python_O():
         "print(sys.flags.optimize, *[\n"
         "    forced(W, 'betti', lambda s: (1, 0, 9, 0, 1), lambda: W.w_surface(p2, 0)),\n"
         "    forced(S, 'KO_POINT', (TRIVIAL,) * 8, lambda: T.eta_iso_check(make_point())),\n"
-        "    forced(T, 'w', lambda s, i: Z, lambda: T.ql_hermitian_verdict(make_point())),\n"
-        "    forced(C, 'w', lambda s, i, tw: Z, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
+        "    forced(T, 'w_row', lambda s: (Z,) * 4, lambda: T.ql_hermitian_verdict(make_point())),\n"
+        "    forced(C, 'w_row', lambda s, tw: (Z2,) * 4, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
         "    forced(C, 'pic_surjective', lambda s: False, lambda: C.compare_w_kok(p2)),\n"
+        "    forced(C, 'kok_row', lambda s, tw: (Z2,) * 4, lambda: C.compare_w_kok(p2)),\n"
         "    forced(C, 'kok_row', lambda s, tw: (Z,) * 4, lambda: C.compare_w_kok(p2)),\n"
+        "    forced(W, '_W_POINT', (Z,) * 4, lambda: W.witt_table(make_point())),\n"
         "])\n"
     )
     root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
@@ -277,4 +283,4 @@ def test_cross_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", child], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1" + " invariant-violation" * 6 + "\n"
+    assert proc.stdout == "1" + " invariant-violation" * 8 + "\n"

@@ -53,6 +53,7 @@ from wittkit.groups import (
     exponent_two,
     f2_rank,
     free,
+    from_counts,
     group_from_presentation,
     homology_at,
     identity_map,
@@ -874,6 +875,43 @@ def test_cancel_rejects_non_summands():
     assert cancel(g, Z2) == cyclic(12)
     assert cancel(g, cyclic(3)) == SymGroup(0, (2, 4), 0)
     assert cancel(g, TRIVIAL) == g
+
+
+def reference_elementary_two(rank: int) -> SymGroup:
+    """``elementary_two`` as it stood when it checked every factor, copied
+    verbatim (only renamed)."""
+    if rank < 0:
+        raise ValueError("negative rank in SymGroup")
+    return SymGroup(torsion=(2,) * rank)
+
+
+def outcome_of(call, *args):
+    try:
+        g = call(*args)
+    except Exception as exc:  # the type is what must agree
+        return type(exc)
+    return (g, hash(g), repr(g), render(g))
+
+
+@given(st.one_of(st.integers(-3, 60), st.booleans(), st.none(), st.text(max_size=2),
+                 st.floats(-2, 5), st.fractions(-2, 5), st.just(2.0), st.just(Fraction(3))))
+def test_elementary_two_matches_its_checked_form(rank):
+    # from counts, no factor is checked, yet every input gives the same group
+    # (equal, same hash and repr) or the same exception type as before
+    assert outcome_of(elementary_two, rank) == outcome_of(reference_elementary_two, rank)
+
+
+@given(st.integers(0, 4), st.integers(0, 40), st.integers(0, 4))
+def test_count_built_groups_are_the_checked_groups(a, b, t):
+    g, ref = from_counts(a, b, t), SymGroup(a, (2,) * b, t)
+    assert (g, hash(g), repr(g), render(g)) == (ref, hash(ref), repr(ref), render(ref))
+    assert type(g) is SymGroup and g.torsion == ref.torsion
+    for counts in ((-1, b, t), (a, -1, t), (a, b, -1)):
+        with pytest.raises(ValueError, match="negative rank in SymGroup"):
+            from_counts(*counts)
+    # the constructor a user calls keeps every check
+    with pytest.raises(ValueError):
+        SymGroup(a, (2,) * b + (1,), t)
 
 
 def test_mod2_generator_counts():

@@ -203,6 +203,54 @@ def test_page_refuses_a_differential_key_that_is_not_a_position():
                      differentials={5: zero_map(Z, Z2)})
 
 
+def test_a_checked_page_cannot_be_changed_in_place():
+    # the FOUND case: zero d2's, then replaced by maps whose composite is not
+    # zero, which turn_page would trust; every page is read-only instead
+    A = elementary_two(2)
+    entries = {(0, 0): A, (2, -1): A, (4, -2): A}
+    zeros = {(0, 0): zero_map(A, A), (2, -1): zero_map(A, A)}
+    page = BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL, differentials=zeros)
+    for view in (page.entries, page.differentials):
+        with pytest.raises(TypeError):
+            view[(0, 0)] = GroupMap(A, A, ((1, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        del page.entries[(0, 0)]
+    nxt = turn_page(page)
+    for view in (nxt.entries, nxt.differentials):
+        with pytest.raises(TypeError):
+            view[(0, 0)] = A
+    # the caller's dicts are copied, and equality reads the contents
+    entries[(0, 0)] = Z
+    assert page.group_at(0, 0) == A
+    assert page == BigradedPage(entries=dict(page.entries), r=2, convention=COHOMOLOGICAL,
+                                differentials=dict(zeros))
+    assert page != dataclasses.replace(page, differentials={})
+    assert nxt == BigradedPage(entries={(0, 0): A, (2, -1): A, (4, -2): A}, r=3,
+                               convention=COHOMOLOGICAL)
+    assert dataclasses.replace(page) == page
+
+
+def test_page_check_multiplies_no_zero_map(monkeypatch):
+    # a zero map composes to zero, so only pairs of nonzero maps are multiplied
+    calls = []
+    core = specseq.composite_is_zero
+    monkeypatch.setattr(specseq, "composite_is_zero",
+                        lambda f, g: calls.append(None) or core(f, g))
+    A = elementary_two(1)
+    one = GroupMap(A, A, ((1,),))
+    for first, second, products in ((zero_map(A, A), one, 0), (one, zero_map(A, A), 0),
+                                     (zero_map(A, A), zero_map(A, A), 0)):
+        calls.clear()
+        BigradedPage(entries={(0, 0): A, (2, -1): A, (4, -2): A}, r=2,
+                     convention=COHOMOLOGICAL,
+                     differentials={(0, 0): first, (2, -1): second})
+        assert len(calls) == products
+    for name in ("k3?rho=10", "enriques", "p2"):
+        calls.clear()
+        ahss_ko_page(catalog_get(name).descriptor)
+        assert calls == [], name
+
+
 def test_trivial_entries_dropped_and_zero_page_turns_to_itself():
     page = BigradedPage(
         entries={(0, 0): Z, (1, 1): TRIVIAL, (2, 0): free(3)},

@@ -16,23 +16,37 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
+import wittkit
 from wittkit.errors import (
     InconsistentDescriptor,
+    InvariantViolation,
     NoSuchTwist,
     RenderParseError,
     RingMismatch,
     TruncationError,
     UnsupportedTwist,
+    WittkitError,
 )
 from wittkit.catalog import catalog_get
 from wittkit.compare import compare_w_kok
-from wittkit.groups import TRIVIAL, Z, Z2, SymGroup, direct_sum, elementary_two, render
+from wittkit.groups import (
+    TRIVIAL,
+    Z,
+    Z2,
+    SymGroup,
+    direct_sum,
+    elementary_two,
+    from_counts,
+    render,
+)
 from wittkit.spaces import make_curve, make_point, make_surface
 from wittkit.specseq import pardon_stable
-from wittkit.topko import ko_table
+from wittkit.topko import ko_curve_reduced, ko_table, kok_reduced
 from wittkit.witt import (
     FHImage,
     TruncatedClass,
+    cancel_point,
+    check_twist,
     curve_symplectic_ring,
     fh_image,
     generic_sw_ring,
@@ -40,6 +54,7 @@ from wittkit.witt import (
     gw_curve_reduced,
     gw_point,
     karoubi_check,
+    minus_point,
     normalize_twist,
     projective_space_ring,
     ring_parse,
@@ -626,3 +641,79 @@ def test_surface_elimination_count_does_not_grow(eliminations, name, witt, ko, c
         table(space)
         counts.append(len(eliminations))
     assert counts == [witt, ko, compare], name
+
+
+# F2 echelons per table call, counted at groups._f2_echelon: a W row reads
+# the ranks of c1 and s1 once and a KO/K row the rank of Sq2 once, and
+# compare_w_kok reads its shift-0 mismatch ranks off the rows it holds
+# (7, 1 and 11 on k3?rho=10 when every shift read its own ranks).
+ECHELONS_TABLES = (
+    ("k3?rho=10", 2, 1, 3),
+    ("enriques", 2, 1, 3),
+    ("p2", 2, 1, 3),
+    ("k3?rho=0", 2, 1, 3),
+    ("curve?g=3", 2, 1, 3),
+    ("point", 2, 1, 3),
+)
+
+
+@pytest.mark.parametrize("name, witt, ko, compare", ECHELONS_TABLES,
+                         ids=[row[0] for row in ECHELONS_TABLES])
+def test_table_echelon_count_does_not_grow(f2_echelons, name, witt, ko, compare):
+    space = catalog_get(name).descriptor
+    counts = []
+    for table in (witt_table, ko_table, compare_w_kok):
+        f2_echelons.clear()
+        table(space)
+        counts.append(len(f2_echelons))
+    assert counts[0] <= witt and counts[1] == ko and 1 <= counts[2] <= compare, (name, counts)
+
+
+@given(st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 3)),
+       st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), st.sampled_from(TW))
+def test_minus_point_is_cancel_point_on_count_built_groups(total_counts, point_counts, tw):
+    # the same group, or the same InvariantViolation with the same message,
+    # raised in every mode; a twisted group is its own reduced group
+    total, point = from_counts(*total_counts), from_counts(*point_counts)
+
+    def result(call):
+        try:
+            return call(total, point, tw)
+        except InvariantViolation as exc:
+            return (exc.signal, str(exc))
+
+    assert result(minus_point) == result(cancel_point)
+
+
+@pytest.mark.parametrize("name", ["point", "p1", "curve?g=3", "affine_curve?g=1&n=2",
+                                  "k3?rho=10"])
+def test_tables_and_reduced_rows_run_no_cancel(monkeypatch, name):
+    # a reduced row is the count minus the point's count; cancel is for
+    # summands of groups that are not built from counts
+    calls = []
+    core = wittkit.groups.cancel
+    for module in (wittkit.groups, wittkit.witt, wittkit.topko, wittkit.compare):
+        if hasattr(module, "cancel"):
+            monkeypatch.setattr(module, "cancel", lambda *a: calls.append(a) or core(*a))
+    space = catalog_get(name).descriptor
+    twists = []
+    for tw in TW:
+        try:
+            check_twist(space, tw)
+        except WittkitError:
+            continue
+        twists.append(tw)
+        witt_table(space, tw)
+        ko_table(space, tw)
+        compare_w_kok(space, tw)
+        for i in range(4):
+            w_reduced(space, i, tw)
+            kok_reduced(space, 2 * i, tw)
+        if space.kind == "curve":
+            karoubi_check(space, tw)
+            for i in range(4):
+                gw_curve_reduced(space, i, tw)
+    if space.kind == "curve":
+        for d in range(8):
+            ko_curve_reduced(space, d)
+    assert twists and calls == [], (name, twists, len(calls))
