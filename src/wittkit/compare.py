@@ -1,11 +1,10 @@
 """Shiftwise comparison of algebraic Witt groups with topological KO/K.
 
-Curves compare isomorphically at every shift and twist. Surfaces compare
-through the Picard map: on a projective surface, surjectivity onto H^2(Z) is
-exactly what makes every shift agree, and a rank defect shows at shift 0,
-where it is measured; both directions are checked. The maps themselves are
-not modeled; "iso" means canonical-form equality of the two independently
-computed groups.
+The comparison runs through the Picard map. With rho = b2, a Picard group
+onto H^2(Z), every shift agrees on every space, so curves always agree; a
+Picard rank defect shows at shift 0, where it is measured. Both directions
+are checked. The maps are not modeled; "iso" means canonical-form equality
+of the two independently computed groups.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
             w_grp, k_grp = minus_point(w_grp, w_point(0), tw), minus_point(k_grp, KOK_POINT[0], tw)
         mismatch = (bad.shift, mod2_rank(w_grp), mod2_rank(k_grp))
     onto = pic_surjective(space)
-    if space.kind != "surface":
+    if space.dim < 2:
         verdict = CURVE_ALWAYS_ISO
     elif mismatch is None:
         verdict = SURFACE_ISO
@@ -76,9 +75,8 @@ def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonRepo
         # necessity direction: a Picard rank defect must surface at shift 0
         if not (mismatch is not None and mismatch[0] == 0):
             raise InvariantViolation("%s: Picard defect missed at shift 0" % space)
-    elif mismatch is not None and (space.kind != "surface" or space.projective):
-        # sufficiency direction: curves always agree, and with rho = b2 the
-        # loader fixes s1 = Sq2 and ch2 = rank H^4/2 on a projective surface
+    elif mismatch is not None:
+        # sufficiency direction: rho = b2 fixes s1 = Sq2∘pi2, and ch2 = rank H^4/2
         raise InvariantViolation("%s compares non-isomorphically" % space)
     return ComparisonReport(
         kind=space.kind,

@@ -1,11 +1,11 @@
 """Descriptors for points, smooth complex curves, and smooth complex surfaces.
 
 A descriptor stores the small amount of data the group computations need:
-genus and punctures for curves; integral cohomology, Picard data, and the
-mod-2 operation matrices for surfaces. Every descriptor holds its integral
-cohomology table and its Picard number rho with pi2; the constructors of the
-point and of curves fill them in. Everything else (Betti numbers, mod-2
-cohomology, Picard groups, graded K-theory) is derived here.
+its integral cohomology table and its Picard number rho with pi2, which the
+constructors of the point and of curves fill in; genus and punctures for
+curves; Picard data and the mod-2 operation matrices for surfaces. The length
+of the table gives the dimension and so the kind of the space. Everything else
+(Betti numbers, mod-2 cohomology, Picard groups, graded K-theory) is derived.
 
 Matrix fields (sq2, pi2, s1) are F2 matrices over the canonical mod-2 bases:
 H^2(Z)/2 is spanned by the free generators of H^2 followed by its 2-torsion
@@ -48,7 +48,7 @@ MAX_GROUP_SUMMANDS = 256
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    kind: str  # "point" | "curve" | "surface"
+    """A space's data; its dimension and kind are read off ``h_int_table``."""
     projective: bool = True
     genus: int = 0
     punctures: int = 0
@@ -64,6 +64,10 @@ class SpaceDescriptor:
     def dim(self) -> int:
         return len(self.h_int_table) // 2  # the table lists H^0..H^(2 dim)
 
+    @property
+    def kind(self) -> str:
+        return ("point", "curve", "surface")[self.dim]
+
     def __str__(self):
         if self.kind == "point":
             return "point"
@@ -75,7 +79,7 @@ class SpaceDescriptor:
 
 
 def make_point() -> SpaceDescriptor:
-    return SpaceDescriptor(kind="point", h_int_table=(Z,))
+    return SpaceDescriptor(h_int_table=(Z,))
 
 
 def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescriptor:
@@ -90,7 +94,7 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
             "2 * genus + punctures must be at most %d" % MAX_CURVE_RANK)
     b1 = 2 * genus + (0 if projective else punctures - 1)
     rho = 1 if projective else 0  # the degree spans NS of a projective curve
-    return SpaceDescriptor(kind="curve", projective=bool(projective), genus=genus,
+    return SpaceDescriptor(projective=bool(projective), genus=genus,
                            punctures=punctures, rho=rho, pi2=identity(rho),
                            h_int_table=(Z, free(b1), Z if projective else TRIVIAL))
 
@@ -164,7 +168,6 @@ def make_surface(
     if f2_rank(pi2m) != m2:
         raise InconsistentDescriptor("pi2-injective: pi2 must have full column rank %d" % m2)
     space = SpaceDescriptor(
-        kind="surface",
         projective=bool(projective),
         h_int_table=table,
         nu=nu,

@@ -242,7 +242,7 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     undetermined differential).
     """
     tw = check_twist(space, twist)
-    if space.kind == "surface" or tw == ODD_TWIST:
+    if space.dim == 2 or tw == ODD_TWIST:
         ko = ko_red = (None,) * 8
     else:
         ko = tuple([_wedge(space, d) for d in range(8)])

@@ -10,7 +10,7 @@ Stiefel-Whitney arithmetic over structure-constant rings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 from .errors import (
     InvariantViolation,
@@ -65,12 +65,12 @@ def normalize_twist(twist) -> str:
 
 def check_twist(space: SpaceDescriptor, twist) -> str:
     """The normalized twist class, once it is known to exist on ``space``;
-    twist classes are Pic/2 (on an affine curve every line bundle is a square)."""
+    twist classes are Pic/2, of rank rho + nu (0 on the point and affine curves)."""
     tw = normalize_twist(twist)
     if tw == ODD_TWIST:
-        if space.kind == "surface":
+        if space.dim == 2:
             raise UnsupportedTwist("twisted surface groups are out of contract")
-        if mod2_rank(picard(space)) == 0:
+        if space.rho + space.nu == 0:
             raise NoSuchTwist("%s admits only the trivial twist" % space)
     return tw
 
@@ -176,7 +176,7 @@ def _w_row(space: SpaceDescriptor, tw: str) -> tuple:
         counts = (1 + h1 + h2 - c1_rank(space), mod2_rank(picard(space)) - s1 + h3,
                   space.ch2_mod2_rank - s1, 0)
     row = tuple([elementary_two(count) for count in counts])
-    if space.kind == "surface" and space.projective:
+    if space.dim == 2 and space.projective:
         # Betti-number forms of the same groups; a second route through the data
         b, rho, nu = betti(space), space.rho, space.nu
         forms = (1 + b[1] + b[2] - rho + 2 * nu, b[1] + rho + 2 * nu - s1,
@@ -222,7 +222,7 @@ def witt_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> WittTable:
         gw_reduced=gw_red,
         w_reduced=tuple([minus_point(g, p, tw) for g, p in zip(row, _W_POINT)]),
         flags={"karoubi_split": list(_split_flags(space, tw))}
-        if space.kind == "curve" else {},
+        if space.dim == 1 else {},
     )
 
 
@@ -256,7 +256,7 @@ class FHImage:
 
 
 def fh_image(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> FHImage:
-    if space.kind == "surface":
+    if space.dim == 2:
         check_twist(space, twist)
         mult = (2, 0, 2) if i % 2 == 0 else (0, 2, 0)
         return FHImage(coords=("rank", "c1", "c2"), columns=(), jac=False,
@@ -622,8 +622,9 @@ def sw_metabolic_total(lagrangian_chern, rank: int, ring: RingContext,
     for j, cj in enumerate(chern):
         if not any(cj):
             continue
-        for m in range(rank - j + 1):
-            if comb(rank - j, m) % 2 == 0:
+        n = rank - j  # a term past the top degree vanishes or overflows as at m = n
+        for m in (*range(min(n, ring.max_degree + 1)), n):
+            if m & ~n:  # comb(n, m) is even, by Lucas
                 continue
             if m and not any(e):
                 break

@@ -312,6 +312,20 @@ def test_sw_largest_rings_are_fast():
         assert go("sw", "--ring", text, "--rank", "1")[0] == 0, text
 
 
+def test_sw_rank_at_a_power_of_two_ends():
+    # every binomial below the last is even at a power of two, so a walk over
+    # all m up to the rank never stopped early; past the ring's top degree a
+    # term vanishes or overflows, and the walk stops there
+    done = run_child("-m", "wittkit.cli", "sw", "--ring", "projective?d=2",
+                     "--rank", "65536", timeout=5)
+    assert (done.returncode, done.stdout) == (
+        0, '{"ring": "P2", "total": ["1", "0", "0", "0", "0"]}\n'), done.stderr
+    done = run_child("-m", "wittkit.cli", "sw", "--ring", "generic?rank=2",
+                     "--rank", "65536", timeout=5)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error [truncation]"), done.stderr
+
+
 def test_sw_rejects_nonhomogeneous_chern():
     code, _, err = go("sw", "--ring", "curve?g=1", "--rank", "2",
                       "--chern", "a1 + b1")
@@ -658,8 +672,8 @@ def declared_script():
     return scripts["wittkit"]
 
 
-def run_child(*args):
-    """Run ``python *args`` in a fresh interpreter.
+def run_child(*args, timeout=60):
+    """Run ``python *args`` in a fresh interpreter, within ``timeout`` seconds.
 
     ``PYTHONPATH`` starts with the directory holding the ``wittkit`` package
     this suite imported, so the child runs the same code.
@@ -668,7 +682,7 @@ def run_child(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def run_script(tmp_path, *argv):

@@ -245,7 +245,8 @@ def test_cross_checks_raise_under_python_O():
     # each former bare assert, forced to fail by patching one of its inputs,
     # must still raise when -O strips assert statements. ql_hermitian_verdict
     # and compare_w_kok read the W row from w_row, and in compare_w_kok a row
-    # of Z/2's reaches its sufficiency check;
+    # of Z/2's reaches its sufficiency check, on a non-projective surface
+    # with rho = b2 as on p2;
     # the last two cases force a negative reduced count, in compare_w_kok's
     # shift-0 mismatch ranks and in witt_table's reduced row
     child = (
@@ -254,7 +255,7 @@ def test_cross_checks_raise_under_python_O():
         "from wittkit.catalog import catalog_get\n"
         "from wittkit.errors import InvariantViolation\n"
         "from wittkit.groups import TRIVIAL, Z, Z2\n"
-        "from wittkit.spaces import make_curve, make_point\n"
+        "from wittkit.spaces import make_curve, make_point, make_surface\n"
         "def forced(module, name, value, call):\n"
         "    original = getattr(module, name)\n"
         "    setattr(module, name, value)\n"
@@ -266,6 +267,7 @@ def test_cross_checks_raise_under_python_O():
         "    finally:\n"
         "        setattr(module, name, original)\n"
         "p2 = catalog_get('p2').descriptor\n"
+        "open_onto = make_surface(False, (Z, TRIVIAL, Z, TRIVIAL, TRIVIAL), 0, 1, 0, (), ((1,),))\n"
         "print(sys.flags.optimize, *[\n"
         "    forced(W, 'betti', lambda s: (1, 0, 9, 0, 1), lambda: W.w_surface(p2, 0)),\n"
         "    forced(S, 'KO_POINT', (TRIVIAL,) * 8, lambda: T.eta_iso_check(make_point())),\n"
@@ -273,6 +275,7 @@ def test_cross_checks_raise_under_python_O():
         "    forced(C, 'w_row', lambda s, tw: (Z2,) * 4, lambda: C.compare_w_kok(make_curve(True, 1))),\n"
         "    forced(C, 'pic_surjective', lambda s: False, lambda: C.compare_w_kok(p2)),\n"
         "    forced(C, 'kok_row', lambda s, tw: (Z2,) * 4, lambda: C.compare_w_kok(p2)),\n"
+        "    forced(C, 'kok_row', lambda s, tw: (Z2,) * 4, lambda: C.compare_w_kok(open_onto)),\n"
         "    forced(C, 'kok_row', lambda s, tw: (Z,) * 4, lambda: C.compare_w_kok(p2)),\n"
         "    forced(W, '_W_POINT', (Z,) * 4, lambda: W.witt_table(make_point())),\n"
         "])\n"
@@ -283,4 +286,4 @@ def test_cross_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", child], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1" + " invariant-violation" * 8 + "\n"
+    assert proc.stdout == "1" + " invariant-violation" * 9 + "\n"

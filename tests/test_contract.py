@@ -2,8 +2,9 @@
 
 The error signal of each public entry point on every kind of space and
 twist class, a guard that keeps bare ``assert`` statements (stripped by
-``python -O``) out of the package, and one that keeps each module's private
-names to itself.
+``python -O``) out of the package, one that keeps each module's private
+names to itself, and one that keeps the tables from branching on the kind
+label instead of the data it is read off.
 """
 
 import ast
@@ -100,5 +101,20 @@ def test_package_imports_no_private_names():
         and (node.level or (node.module or "").split(".")[0] == "wittkit")
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_tables_compare_no_kind_label():
+    # a table decides from dim, projective, rho and the twist; the kind is
+    # read off the cohomology table in spaces alone
+    package = pathlib.Path(wittkit.__file__).resolve().parent
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name in ("witt.py", "topko.py", "compare.py", "specseq.py")
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                for side in [node.left, *node.comparators])
     ]
     assert found == []

@@ -7,14 +7,14 @@ For each drawn surface the closed forms must agree with the spectral-sequence
 engines, and the comparison, eta and hermitian verdicts must follow from
 rho = b2 and the 2-rank nu of the torsion alone. The non-projective strategy
 drops duality: b1 and b3 and the torsion of H^2 and H^3 are drawn apart, and
-H^4 is Z or 0. On both, KO/K must equal ``reference_kok``, the surface
-formula as it stood before KO/K was read off cell counts, and W and every
-engine's resolved groups must equal ``reference_w_surface`` and
-``reference_resolved_group``, the direct-sum assembly W had before it was
-read off summand counts. The Pardon page, the eta check and K_0 must also
-equal the per-kind routes they had before W of every space was one count,
-and the Picard readers and the twist rule the routes they had before every
-space carried its Picard data.
+H^4 is Z or 0; the comparison verdict still follows from rho = b2. On both,
+KO/K must equal ``reference_kok``, the surface formula as it stood before
+KO/K was read off cell counts, and W and every engine's resolved groups
+must equal ``reference_w_surface`` and ``reference_resolved_group``, the
+direct-sum assembly W had before it was read off summand counts. The Pardon
+page, the eta check and K_0 must also equal the per-kind routes they had
+before W of every space was one count, and the Picard readers and the twist
+rule the routes they had before every space carried its Picard data.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -103,6 +103,9 @@ def test_generated_open_surfaces_match_the_engines(drawn):
     for i in range(4):
         if rep.resolved_group(i) is not None:
             assert rep.resolved_group(i) == w_surface(space, i), i
+    # with rho = b2 every shift agrees, projective or not; below it W^0 is larger
+    onto = space.rho == space.h_int_table[2].free_rank
+    assert (compare_w_kok(space).verdict == SURFACE_ISO) == onto
     # eta_iso_check raises if KO/K and the AHSS disagree; K^1 has 2-torsion
     # exactly when H^3 does
     assert eta_iso_check(space) == (nt3 == 0)

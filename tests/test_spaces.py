@@ -4,6 +4,7 @@ Curve mod-2 cohomology is checked against an independent cellular-cochain
 oracle (one-vertex CW models: wedge of circles, closed orientable surface).
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ import pytest
 
 import sample_spaces
 import wittkit
-from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get
+from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get, catalog_instances
 from wittkit.errors import DegreeOutOfRange, InconsistentDescriptor
 from wittkit.groups import (
     TRIVIAL,
@@ -33,6 +34,7 @@ from wittkit.spaces import (
     INTEGRAL,
     MAX_CURVE_RANK,
     MOD2,
+    SpaceDescriptor,
     betti,
     descriptor_from_json,
     descriptor_to_json,
@@ -168,6 +170,25 @@ def test_make_surface_accepts_standard_data():
     assert betti(enr) == (1, 0, 10, 0, 1)
     k3 = k3_surface(20)
     assert betti(k3) == (1, 0, 22, 0, 1)
+
+
+def test_kind_is_read_off_the_cohomology_table():
+    # no descriptor stores a kind, so none can carry one that its table denies
+    assert "kind" not in [f.name for f in dataclasses.fields(SpaceDescriptor)]
+    samples = [make_point(), make_curve(True, 0), make_curve(True, 7),
+               make_curve(False, 0, 1), make_curve(False, 3, 4)]
+    samples += [catalog_get(name).descriptor for name in catalog_instances()]
+    samples += [sample_spaces.p2_surface(), sample_spaces.blowup_p2_surface(),
+                sample_spaces.enriques_surface(), sample_spaces.k3_surface(10),
+                sample_spaces.ruled_surface(2), sample_spaces.abelian_like_surface()]
+    for space in samples:
+        assert space.kind == ("point", "curve", "surface")[space.dim], space
+    assert [s.kind for s in samples[:5]] == ["point"] + ["curve"] * 4
+    assert sample_spaces.p2_surface().kind == "surface"
+    with pytest.raises(TypeError):
+        SpaceDescriptor(kind="surface")
+    with pytest.raises(TypeError):
+        dataclasses.replace(make_point(), kind="surface")
 
 
 def test_make_surface_rejects_bad_data():

@@ -3,6 +3,7 @@ the Pardon engine, Karoubi bookkeeping, and Stiefel-Whitney arithmetic against
 a brute-force polynomial oracle."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from wittkit.witt import (
     cancel_point,
     check_twist,
     curve_symplectic_ring,
+    element_degree,
     fh_image,
     generic_sw_ring,
     gw_curve,
@@ -57,7 +59,9 @@ from wittkit.witt import (
     minus_point,
     normalize_twist,
     projective_space_ring,
+    ring_mul,
     ring_parse,
+    ring_pow,
     ring_render,
     sw_metabolic_total,
     sw_whitney_product,
@@ -569,6 +573,61 @@ def test_metabolic_validation():
         sw_metabolic_total([ring.unit(), ring_parse(ring, "e")], 1, ring, complex=True)
 
 
+def reference_sw_metabolic_total(lagrangian_chern, rank, ring, complex):
+    """sw_metabolic_total as it stood before its walk over m was bounded by the
+    ring's top degree: every m = 0..rank - j, parity from the binomial itself."""
+    chern = [tuple(c) for c in lagrangian_chern]
+    if not chern or chern[0] != ring.unit():
+        raise ValueError("lagrangian Chern classes must start with c_0 = 1")
+    if len(chern) - 1 > rank:
+        raise ValueError("a rank-%d bundle has no c_%d" % (rank, len(chern) - 1))
+    for j, c in enumerate(chern):
+        deg = element_degree(ring, c)
+        if deg is not None and deg != 2 * j:
+            raise ValueError("c_%d must be homogeneous of degree %d" % (j, 2 * j))
+    e = ring.zero() if complex else ring.minus_one
+    out = [ring.zero() for _ in range(ring.max_degree + 1)]
+    for j, cj in enumerate(chern):
+        if not any(cj):
+            continue
+        for m in range(rank - j + 1):
+            if comb(rank - j, m) % 2 == 0:
+                continue
+            if m and not any(e):
+                break
+            term = ring_mul(ring, ring_pow(ring, e, m), cj)
+            if any(term):
+                out[2 * j + m] = tuple(x ^ y for x, y in zip(out[2 * j + m], term))
+    return TruncatedClass(ring, tuple(out))
+
+
+SW_RINGS = ([projective_space_ring(d) for d in range(1, 5)]
+            + [curve_symplectic_ring(g) for g in range(3)]
+            + [generic_sw_ring(r) for r in range(1, 4)])
+
+
+@pytest.mark.parametrize("ring", SW_RINGS, ids=[r.name for r in SW_RINGS])
+def test_metabolic_total_matches_the_unbounded_walk(ring):
+    # the same class, or the same exception and message, on ranks 0..300
+    # with the unit and with each degree-2 basis element as c_1
+    chern_lists = [[ring.unit()]] + [
+        [ring.unit(), tuple(int(k == i) for k in range(len(ring.basis)))]
+        for i, d in enumerate(ring.degrees) if d == 2]
+
+    def result(fn, chern, rank, complex_base):
+        try:
+            return fn(chern, rank, ring, complex_base).coefficients
+        except (TruncationError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for chern in chern_lists:
+        for rank in range(301):
+            for complex_base in (False, True):
+                assert result(sw_metabolic_total, chern, rank, complex_base) \
+                    == result(reference_sw_metabolic_total, chern, rank, complex_base), \
+                    (ring.name, chern, rank, complex_base)
+
+
 def test_ring_parse_render():
     ring = curve_symplectic_ring(1)
     assert ring_render(ring, ring_parse(ring, "a1 + b1")) == "a1 + b1"
@@ -717,3 +776,16 @@ def test_tables_and_reduced_rows_run_no_cancel(monkeypatch, name):
         for d in range(8):
             ko_curve_reduced(space, d)
     assert twists and calls == [], (name, twists, len(calls))
+
+
+def test_twist_validation_builds_no_picard_group(monkeypatch):
+    # Pic/2 has rank rho + nu, so O(p) is validated from the descriptor's
+    # integers; compare_w_kok validates it three times
+    calls = []
+    core = wittkit.witt.picard
+    monkeypatch.setattr(wittkit.witt, "picard", lambda s: calls.append(s) or core(s))
+    report = compare_w_kok(make_curve(True, 20), "O(p)")
+    assert report.twist == "O(p)" and calls == []
+    with pytest.raises(NoSuchTwist):
+        check_twist(make_curve(False, 3, 2), "O(p)")
+    assert calls == []
