@@ -27,9 +27,11 @@ built from lists: a tuple built from a generator is resized, never reusing a
 freed one, so CPython's free lists fill. The constructors' checks and
 ``mat_mul`` (by columns) run per entry in C builtins. ``from_counts`` builds
 Z^a + (Z/2)^b + D(t), the shape of every table row and of ``elementary_two``,
-with no per-factor check, which ``SymGroup(...)`` keeps. A map's relations are
-checked row by row over the codomain: a factor dividing the domain's first
-invariant factor imposes nothing. The F2 echelon keys vectors on their lowest bit.
+with no per-factor check, which ``SymGroup(...)`` keeps, and ``built_map`` a map
+valid by construction with no per-entry check, which ``GroupMap(...)`` keeps. A
+map's relations are checked row by row over the codomain: a factor dividing the
+domain's first invariant factor imposes nothing. ``is_elementary_two`` reads a
+chain's last factor. The F2 echelon keys vectors on their lowest bit.
 """
 
 from __future__ import annotations
@@ -426,8 +428,8 @@ def mod2_rank(g: SymGroup) -> int:
 
 
 def is_elementary_two(g: SymGroup) -> bool:
-    """Whether g is an F2-vector space."""
-    return g.free_rank == 0 and g.divisible_rank == 0 and all(d == 2 for d in g.torsion)
+    """Whether g is an F2-vector space: the chain's last factor is 2."""
+    return not (g.free_rank or g.divisible_rank) and (not g.torsion or g.torsion[-1] == 2)
 
 
 def exponent_two(g: SymGroup) -> SymGroup:
@@ -533,6 +535,16 @@ class GroupMap:
             )
 
 
+def built_map(domain: SymGroup, codomain: SymGroup, matrix: Matrix) -> GroupMap:
+    """A map valid by construction: a tuple of codomain.ngens row tuples of domain.ngens
+    ints that respects the domain's relations. Only a divisible side is checked."""
+    if domain.divisible_rank or codomain.divisible_rank:
+        return GroupMap(domain, codomain, matrix)  # which refuses it
+    f = object.__new__(GroupMap)
+    vars(f).update(domain=domain, codomain=codomain, matrix=matrix)
+    return f
+
+
 def _in_lattice(rows, g: SymGroup, orders=None) -> bool:
     """Whether each column of ``rows`` (coordinates in g), times its entry of
     the chain ``orders`` if given, lies in g's relation lattice: a free row
@@ -548,7 +560,7 @@ def _in_lattice(rows, g: SymGroup, orders=None) -> bool:
 
 
 def zero_map(domain: SymGroup, codomain: SymGroup) -> GroupMap:
-    return GroupMap(domain, codomain, ((0,) * domain.ngens,) * codomain.ngens)
+    return built_map(domain, codomain, ((0,) * domain.ngens,) * codomain.ngens)
 
 
 def identity_map(g: SymGroup) -> GroupMap:

@@ -66,6 +66,8 @@ class SpaceDescriptor:
 
     @property
     def kind(self) -> str:
+        if len(self.h_int_table) not in (1, 3, 5):
+            raise InconsistentDescriptor("h_int_table must list 1, 3 or 5 groups")
         return ("point", "curve", "surface")[self.dim]
 
     def __str__(self):

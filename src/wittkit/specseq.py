@@ -25,6 +25,7 @@ from .groups import (
     Z2,
     GroupMap,
     SymGroup,
+    built_map,
     composite_is_zero,
     elementary_two,
     exponent_two,
@@ -272,8 +273,8 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
     """Lift an F2 matrix on mod-2 generators to a GroupMap.
 
     Columns of ``rows`` are indexed by the free-then-even-torsion generators
-    of the domain; odd-torsion generators reduce to zero and get zero
-    columns. The codomain must have exponent 2.
+    of the domain; odd-torsion generators get zero columns. Into an elementary
+    2-group that is a map by construction, built unchecked; otherwise checked.
     """
     src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
     full = tuple([
@@ -281,7 +282,7 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
                for j in range(domain.ngens)])
         for i in range(codomain.ngens)
     ])
-    return GroupMap(domain, codomain, full)
+    return (built_map if is_elementary_two(codomain) else GroupMap)(domain, codomain, full)
 
 
 def pardon_e2(space) -> BigradedPage:

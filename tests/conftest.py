@@ -40,3 +40,22 @@ def f2_echelons(monkeypatch):
 
     monkeypatch.setattr(groups, "_f2_echelon", counted)
     return calls
+
+
+@pytest.fixture
+def checked_maps(monkeypatch):
+    """A list that gains one entry per checked ``GroupMap`` construction.
+
+    ``GroupMap(...)`` runs ``__post_init__``, its per-entry, shape and
+    relation checks; ``built_map`` does not. Clear the list between calls
+    counted apart.
+    """
+    calls = []
+    core = groups.GroupMap.__post_init__
+
+    def counted(self):
+        calls.append(None)
+        return core(self)
+
+    monkeypatch.setattr(groups.GroupMap, "__post_init__", counted)
+    return calls

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wittkit
 from wittkit.errors import (
@@ -38,6 +38,7 @@ from wittkit.groups import (
     ExactnessReport,
     GroupMap,
     SymGroup,
+    built_map,
     cancel,
     check_exact,
     cokernel,
@@ -912,6 +913,93 @@ def test_count_built_groups_are_the_checked_groups(a, b, t):
     # the constructor a user calls keeps every check
     with pytest.raises(ValueError):
         SymGroup(a, (2,) * b + (1,), t)
+
+
+def per_factor_elementary_two(g):
+    """``is_elementary_two`` as it stood when it read every factor."""
+    return g.free_rank == 0 and g.divisible_rank == 0 and all(d == 2 for d in g.torsion)
+
+
+GROUP_TOKENS = ("Z", "Z^2", "Z/2", "Z/2", "Z/3", "Z/4", "Z/6", "D(1)")
+
+
+@st.composite
+def groups_from_every_builder(draw):
+    """A group from one of the routes that build a SymGroup."""
+    route = draw(st.sampled_from(("SymGroup", "from_counts", "direct_sum_all", "parse_group",
+                                  "cancel", "mod2", "two_torsion", "homology_at")))
+    if route == "SymGroup":
+        return draw(sym_groups())
+    if route == "from_counts":
+        return from_counts(draw(st.integers(0, 2)), draw(st.integers(0, 40)),
+                           draw(st.integers(0, 2)))
+    if route == "direct_sum_all":
+        return direct_sum_all(draw(st.lists(sym_groups(), max_size=4)))
+    if route == "parse_group":
+        tokens = draw(st.lists(st.sampled_from(GROUP_TOKENS), min_size=1, max_size=6))
+        return parse_group(" + ".join(tokens))
+    if route == "cancel":
+        c = draw(st.sampled_from([Z, Z2, cyclic(3), divisible(1), TRIVIAL]))
+        return cancel(direct_sum(draw(sym_groups()), c), c)
+    if route == "mod2":
+        return mod2(draw(sym_groups()))
+    if route == "two_torsion":
+        return two_torsion(draw(sym_groups()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a, b, c = (draw(sym_groups(max_div=0)) for _ in range(3))
+    f, g = random_well_defined_map(rng, a, b), random_well_defined_map(rng, b, c)
+    shape = draw(st.sampled_from(("kernel", "cokernel", "homology")))
+    if shape == "kernel":
+        return homology_at(None, g)
+    if shape == "cokernel":
+        return homology_at(f, None)
+    return homology_at(f, g if composite_is_zero(f, g) else zero_map(b, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups_from_every_builder())
+@example(SymGroup(0, (2, 2, 6)))
+@example(SymGroup(0, (3,)))
+@example(from_counts(0, 40))
+def test_elementary_two_reads_the_chain(g):
+    # every builder leaves a divisibility chain of factors >= 2, so the last
+    # factor is 2 exactly when every factor is
+    assert is_elementary_two(g) == per_factor_elementary_two(g)
+
+
+def map_outcome(call, *args):
+    try:
+        f = call(*args)
+    except Exception as exc:  # the type and the message must agree
+        return type(exc), str(exc)
+    return f, hash(f), repr(f), type(f), type(f.matrix)
+
+
+@settings(max_examples=200)
+@given(sym_groups(), sym_groups())
+def test_zero_map_is_the_checked_zero_map(a, b):
+    # built with no check, it is the map the checked constructor gives, and a
+    # divisible side raises the same exception with the same message
+    zeros = ((0,) * a.ngens,) * b.ngens
+    assert map_outcome(zero_map, a, b) == map_outcome(GroupMap, a, b, zeros)
+    assert map_outcome(built_map, a, b, zeros) == map_outcome(GroupMap, a, b, zeros)
+
+
+@settings(max_examples=100)
+@given(sym_groups(max_div=0), sym_groups(max_div=0), st.integers(0, 2**32 - 1))
+def test_built_map_is_the_checked_map(a, b, seed):
+    matrix = random_well_defined_map(random.Random(seed), a, b).matrix
+    assert map_outcome(built_map, a, b, matrix) == map_outcome(GroupMap, a, b, matrix)
+
+
+def test_zero_map_runs_no_check(checked_maps):
+    zero_map(elementary_two(40), free(3))
+    zero_map(SymGroup(2, (3, 6)), elementary_two(5))
+    assert len(checked_maps) == 0
+    with pytest.raises(UnsupportedDivisibleMap):
+        zero_map(divisible(1), Z)
+    GroupMap(Z, Z, ((1,),))  # the constructor a user calls keeps every check
+    assert len(checked_maps) == 2
 
 
 def test_mod2_generator_counts():

@@ -46,6 +46,7 @@ from wittkit.spaces import (
     pic_columns,
     picard,
     picard_image_matrix,
+    require_kind,
     singular_h,
     sq2z_on_pic,
 )
@@ -189,6 +190,20 @@ def test_kind_is_read_off_the_cohomology_table():
         SpaceDescriptor(kind="surface")
     with pytest.raises(TypeError):
         dataclasses.replace(make_point(), kind="surface")
+
+
+@pytest.mark.parametrize("length", (0, 2, 4, 7))
+def test_a_table_of_no_dimension_has_no_kind(length):
+    # a descriptor built by hand around the constructors: a cohomology table
+    # lists H^0..H^(2 dim), so any length but 1, 3 or 5 names no kind
+    space = SpaceDescriptor(h_int_table=(Z,) * length)
+    callers = [lambda: space.kind, lambda: str(space), lambda: descriptor_to_json(space)]
+    callers += [lambda kind=kind: require_kind(space, kind)
+                for kind in ("point", "curve", "surface")]
+    for call in callers:
+        with pytest.raises(InconsistentDescriptor) as info:
+            call()
+        assert info.value.signal == "inconsistent-descriptor"
 
 
 def test_make_surface_rejects_bad_data():

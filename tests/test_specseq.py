@@ -16,7 +16,7 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
-from test_generated_surfaces import projective_surfaces
+from test_generated_surfaces import open_surfaces, projective_surfaces
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.errors import MalformedPage, UnsupportedDivisibleMap
 from wittkit import specseq
@@ -34,6 +34,7 @@ from wittkit.groups import (
     free,
     homology_at,
     is_elementary_two,
+    mod2_generators,
     mod2_rank,
     zero_map,
 )
@@ -692,6 +693,128 @@ def test_ahss_pages_match_reference(make):
 @given(projective_surfaces())
 def test_ahss_pages_match_reference_on_generated_surfaces(drawn):
     assert_ahss_matches_reference(drawn[0])
+
+
+# ---------------------------------------------------------------------------
+# builder pages by construction
+
+# The builders' differentials are zero maps and F2 lifts into elementary
+# 2-groups, valid by construction, so they are built with no checked
+# GroupMap; the page they form is still checked by BigradedPage.
+
+BUILDERS = (pardon_e2, ahss_ko_page, ahss_k_page)
+COUNTED_SURFACES = tuple(
+    [name for name in catalog_instances() if catalog_get(name).descriptor.dim == 2]
+    + ["ruled?g=8"])
+
+
+@pytest.mark.parametrize("name", COUNTED_SURFACES)
+def test_builder_pages_construct_no_checked_map(checked_maps, name):
+    space = catalog_get(name).descriptor
+    built = 0
+    for build in BUILDERS:
+        checked_maps.clear()
+        built += len(build(space).differentials)
+        assert len(checked_maps) == 0, (name, build.__name__)
+    assert built, name  # the pages do install differentials
+    GroupMap(Z, Z, ((1,),))  # the counter sees a checked construction
+    assert len(checked_maps) == 1
+
+
+def assert_pages_equal_checked_rebuilds(space):
+    # rebuilt through the checked constructors, every page is the same page;
+    # a built map that broke a relation would raise in GroupMap here
+    for build in BUILDERS:
+        page = build(space)
+        checked = {pos: GroupMap(d.domain, d.codomain, d.matrix)
+                   for pos, d in page.differentials.items()}
+        rebuilt = BigradedPage(entries=dict(page.entries), r=page.r,
+                               convention=page.convention, differentials=checked)
+        assert page == rebuilt
+        assert list(page.entries.items()) == list(rebuilt.entries.items())
+        for pos, d in page.differentials.items():
+            assert type(d) is GroupMap and d == checked[pos], pos
+            assert hash(d) == hash(checked[pos]), pos
+            assert type(d.matrix) is tuple and all(
+                type(row) is tuple and all(type(x) is int for x in row) for row in d.matrix)
+        assert dump_page(page) == dump_page(rebuilt)
+
+
+@pytest.mark.parametrize("make", [row[1] for row in REFERENCE_SPACES]
+                         + [lambda: catalog_get("ruled?g=8").descriptor],
+                         ids=[row[0] for row in REFERENCE_SPACES] + ["catalog:ruled?g=8"])
+def test_builder_pages_equal_their_checked_rebuilds(make):
+    assert_pages_equal_checked_rebuilds(make())
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(projective_surfaces())
+def test_builder_pages_equal_their_checked_rebuilds_on_generated_surfaces(drawn):
+    assert_pages_equal_checked_rebuilds(drawn[0])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(open_surfaces())
+def test_builder_pages_equal_their_checked_rebuilds_on_open_surfaces(drawn):
+    assert_pages_equal_checked_rebuilds(drawn[0])
+
+
+def reference_map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
+    """``_map_from_f2`` as it stood when every lift was a checked ``GroupMap``,
+    copied verbatim (only renamed)."""
+    src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
+    full = tuple([
+        tuple([int(rows[i][src_col[j]]) % 2 if j in src_col else 0
+               for j in range(domain.ngens)])
+        for i in range(codomain.ngens)
+    ])
+    return GroupMap(domain, codomain, full)
+
+
+@st.composite
+def f2_lift_domains(draw):
+    """Free, even-torsion and odd-torsion generators in any mix."""
+    chain, d = [], 1
+    for _ in range(draw(st.integers(0, 4))):
+        d *= draw(st.sampled_from((2, 2, 3, 5)))
+        chain.append(d)
+    return SymGroup(draw(st.integers(0, 3)), tuple(chain))
+
+
+NOT_ELEMENTARY_TWO = (Z, free(2), cyclic(4), cyclic(3), SymGroup(1, (2,)),
+                      SymGroup(0, (2, 4)), SymGroup(0, (2, 6)))
+
+
+def f2_rows(draw, domain, m):
+    n = mod2_rank(domain)
+    return [draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)) for _ in range(m)]
+
+
+def lift_outcome(call, *args):
+    try:
+        f = call(*args)
+    except Exception as exc:  # the type and the message must agree
+        return type(exc), str(exc)
+    return f, hash(f), repr(f), type(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_lift_domains(), st.integers(0, 4), st.data())
+def test_f2_lift_into_elementary_two_is_the_checked_map(domain, m, data):
+    codomain = elementary_two(m)
+    rows = f2_rows(data.draw, domain, m)
+    assert lift_outcome(_map_from_f2, domain, codomain, rows) == lift_outcome(
+        reference_map_from_f2, domain, codomain, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_lift_domains(), st.sampled_from(NOT_ELEMENTARY_TWO), st.data())
+def test_f2_lift_elsewhere_is_checked_as_before(domain, codomain, data):
+    # into a codomain that is not elementary two the lift is still checked:
+    # the same map or the same refusal as before
+    rows = f2_rows(data.draw, domain, codomain.ngens)
+    assert lift_outcome(_map_from_f2, domain, codomain, rows) == lift_outcome(
+        reference_map_from_f2, domain, codomain, rows)
 
 
 # ---------------------------------------------------------------------------
