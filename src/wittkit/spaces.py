@@ -62,12 +62,12 @@ class SpaceDescriptor:
 
     @property
     def dim(self) -> int:
-        return len(self.h_int_table) // 2  # the table lists H^0..H^(2 dim)
+        if len(self.h_int_table) not in (1, 3, 5):  # the table lists H^0..H^(2 dim)
+            raise InconsistentDescriptor("h_int_table must list 1, 3 or 5 groups")
+        return len(self.h_int_table) // 2
 
     @property
     def kind(self) -> str:
-        if len(self.h_int_table) not in (1, 3, 5):
-            raise InconsistentDescriptor("h_int_table must list 1, 3 or 5 groups")
         return ("point", "curve", "surface")[self.dim]
 
     def __str__(self):

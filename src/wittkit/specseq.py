@@ -273,8 +273,8 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
     """Lift an F2 matrix on mod-2 generators to a GroupMap.
 
     Columns of ``rows`` are indexed by the free-then-even-torsion generators
-    of the domain; odd-torsion generators get zero columns. Into an elementary
-    2-group that is a map by construction, built unchecked; otherwise checked.
+    of the domain; odd-torsion generators get zero columns. The codomain must
+    have exponent 2, so the lift is a map by construction and built unchecked.
     """
     src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
     full = tuple([
@@ -282,7 +282,7 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
                for j in range(domain.ngens)])
         for i in range(codomain.ngens)
     ])
-    return (built_map if is_elementary_two(codomain) else GroupMap)(domain, codomain, full)
+    return built_map(domain, codomain, full)
 
 
 def pardon_e2(space) -> BigradedPage:

@@ -50,6 +50,8 @@ from wittkit.spaces import (
     singular_h,
     sq2z_on_pic,
 )
+from wittkit.specseq import ahss_ko, pardon_stable
+from wittkit.witt import witt_table
 
 # ---------------------------------------------------------------------------
 # oracle: cellular cochain complexes of the standard one-vertex CW models
@@ -195,9 +197,11 @@ def test_kind_is_read_off_the_cohomology_table():
 @pytest.mark.parametrize("length", (0, 2, 4, 7))
 def test_a_table_of_no_dimension_has_no_kind(length):
     # a descriptor built by hand around the constructors: a cohomology table
-    # lists H^0..H^(2 dim), so any length but 1, 3 or 5 names no kind
+    # lists H^0..H^(2 dim), so any length but 1, 3 or 5 names no dimension
     space = SpaceDescriptor(h_int_table=(Z,) * length)
-    callers = [lambda: space.kind, lambda: str(space), lambda: descriptor_to_json(space)]
+    callers = [lambda: space.dim, lambda: space.kind, lambda: str(space),
+               lambda: descriptor_to_json(space), lambda: witt_table(space),
+               lambda: ahss_ko(space), lambda: pardon_stable(space)]
     callers += [lambda kind=kind: require_kind(space, kind)
                 for kind in ("point", "curve", "surface")]
     for call in callers:
