@@ -131,7 +131,7 @@ def _entry_blowup_p2() -> CatalogEntry:
 def _entry_enriques() -> CatalogEntry:
     # 12 mod-2 classes: ten from the free lattice, one from the 2-torsion of
     # H^2, one from the 2-torsion of H^3
-    pi2 = tuple(tuple(int(i == j) for j in range(11)) for i in range(12))
+    pi2 = identity(11) + ((0,) * 11,)
     sq2 = ((0,) * 11 + (1,),)
     return CatalogEntry(
         name="enriques",

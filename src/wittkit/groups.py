@@ -56,7 +56,7 @@ Matrix = tuple
 
 
 def identity(n: int) -> Matrix:
-    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def transpose(m, cols: int | None = None) -> Matrix:

@@ -102,13 +102,15 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
 
 
 def _as_f2(m, name: str, rows: int, cols: int) -> Matrix:
-    mat = tuple([tuple([int(x) % 2 for x in row]) for row in m])
+    mat = tuple([tuple(row) for row in m])
     if len(mat) != rows or any(len(row) != cols for row in mat):
         raise InconsistentDescriptor(
             "%s must be a %dx%d F2 matrix, got %dx%s"
             % (name, rows, cols, len(mat), [len(r) for r in mat] or "0")
         )
-    return mat
+    if any(type(x) is not int for row in mat for x in row):
+        raise InconsistentDescriptor("%s entries must be integers" % name)
+    return tuple([tuple([x & 1 for x in row]) for row in mat])
 
 
 def make_surface(
@@ -248,8 +250,10 @@ def picard(space: SpaceDescriptor) -> SymGroup:
 
 
 def c1_rank(space: SpaceDescriptor) -> int:
-    """Rank of c1: Pic/2 -> H^2(Z/2), read off pi2 on the Picard columns."""
-    return f2_rank(picard_image_matrix(space))
+    """Rank of c1: Pic/2 -> H^2(Z/2), which is rho + nu. Every constructor gives
+    pi2 full column rank b2 + nu (``make_surface`` checks it), ``pic_columns`` picks
+    rho + nu of them, and a curve or the point has pi2 = identity(rho) and nu = 0."""
+    return space.rho + space.nu
 
 
 def k0_alg(space: SpaceDescriptor) -> tuple:

@@ -156,18 +156,18 @@ def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
 
 def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     """W^i of any space, elementary_two of one count over its Picard and Chow
-    data: untwisted, 1 + h^1 + h^2 - rank c1, rank Pic/2 - rank s1 + h^3,
-    ch2 - rank s1 and 0; under O(p), a curve's paper row h^1, 0, 0, 0."""
+    data: untwisted, 1 + h^1 + h^2 - rank c1 (rank c1 = rho + nu), rank Pic/2 -
+    rank s1 + h^3, ch2 - rank s1 and 0; under O(p), a curve's paper row h^1, 0, 0, 0."""
     return w_row(space, twist)[i % 4]
 
 
 def w_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
-    """W^0..W^3 of the space, from one rank of c1 and one of s1."""
+    """W^0..W^3 of the space, from rank c1 = rho + nu and one F2 rank, that of s1."""
     return _w_row(space, check_twist(space, twist))
 
 
 def _w_row(space: SpaceDescriptor, tw: str) -> tuple:
-    """``w_row`` under the normalized twist ``tw``; h^p = rank H^p(Z/2)."""
+    """``w_row`` under the normalized twist ``tw``; h^p = rank H^p(Z/2); ranks only s1."""
     h1, h2, h3 = [mod2_betti(space.h_int_table, p) for p in (1, 2, 3)]
     if tw == ODD_TWIST:
         counts = (h1, 0, 0, 0)

@@ -5,11 +5,14 @@ import pytest
 from sample_spaces import (
     blowup_p2_surface,
     enriques_surface,
+    eye,
     k3_surface,
     p2_surface,
     ruled_surface,
 )
 from wittkit.catalog import (
+    MAX_GENUS,
+    MAX_K3_RHO,
     CatalogEntry,
     catalog_get,
     catalog_instances,
@@ -17,7 +20,13 @@ from wittkit.catalog import (
 )
 from wittkit.compare import compare_w_kok
 from wittkit.errors import InconsistentDescriptor, UnknownName
-from wittkit.spaces import descriptor_from_json, descriptor_to_json, make_curve
+from wittkit.groups import TRIVIAL, Z, free
+from wittkit.spaces import (
+    SpaceDescriptor,
+    descriptor_from_json,
+    descriptor_to_json,
+    make_curve,
+)
 from wittkit.specseq import ahss_k, pardon_stable
 from wittkit.topko import ko_table
 from wittkit.witt import witt_table
@@ -48,6 +57,33 @@ def test_parametric_entries():
     assert catalog_get("k3?rho=0").descriptor == k3_surface(0)
     assert catalog_get("ruled?g=2").descriptor == ruled_surface(2)
     assert catalog_get("curve?g=8").descriptor == make_curve(True, 8)
+
+
+def literal_curve(projective, g, n=0):
+    """A curve's descriptor written out field by field, pi2 entry by entry."""
+    rho = 1 if projective else 0
+    b1 = 2 * g + (0 if projective else n - 1)
+    return SpaceDescriptor(projective=projective, genus=g, punctures=n, rho=rho,
+                           pi2=eye(rho), h_int_table=(Z, free(b1), Z if projective else TRIVIAL))
+
+
+def test_every_entry_equals_its_literal():
+    # the sample surfaces are the registered literals with every identity and
+    # the Enriques pi2 built entry by entry; the catalog must give the same
+    # descriptors, with int entries only
+    want = {"point": SpaceDescriptor(h_int_table=(Z,)), "p1": literal_curve(True, 0),
+            "p2": p2_surface(), "blowup_p2": blowup_p2_surface(),
+            "enriques": enriques_surface()}
+    want.update(("k3?rho=%d" % rho, k3_surface(rho)) for rho in range(MAX_K3_RHO + 1))
+    want.update(("ruled?g=%d" % g, ruled_surface(g)) for g in range(MAX_GENUS + 1))
+    want.update(("curve?g=%d" % g, literal_curve(True, g)) for g in range(MAX_GENUS + 1))
+    want.update(("affine_curve?g=%d&n=%d" % (g, n), literal_curve(False, g, n))
+                for g in range(MAX_GENUS + 1) for n in range(1, 6))
+    for name, literal in want.items():
+        got = catalog_get(name).descriptor
+        assert got == literal, name
+        assert all(type(x) is int for m in (got.sq2, got.pi2, got.s1)
+                   for row in m for x in row), name
 
 
 def test_entry_names_are_canonical():

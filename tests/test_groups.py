@@ -57,6 +57,7 @@ from wittkit.groups import (
     from_counts,
     group_from_presentation,
     homology_at,
+    identity,
     identity_map,
     image_rank2,
     is_elementary_two,
@@ -1605,6 +1606,16 @@ def test_f2_rank_matches_rational_rank_on_01():
                     a[i] = [(x + y) % 2 for x, y in zip(a[i], a[rank])]
             rank += 1
         assert f2_rank(m) == rank
+
+
+def test_identity_is_the_per_entry_identity():
+    # rows from slices, against the entry-by-entry definition
+    for n in range(65):
+        want = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        got = identity(n)
+        assert got == want, n
+        assert all(type(row) is tuple for row in got), n
+        assert all(type(x) is int for row in got for x in row), n
 
 
 def test_f2_rank_reduces_mod_2():

@@ -186,6 +186,8 @@ def assert_picard_matches_references(space):
     assert space.dim == reference_dim(space), where
     assert render(picard(space)) == render(reference_picard(space)), where
     assert c1_rank(space) == reference_c1_rank(space), where
+    # rho + nu is the rank of pi2 on the Picard columns on every space
+    assert c1_rank(space) == f2_rank(picard_image_matrix(space)), where
     if space.dim:
         assert pic_columns(space) == reference_pic_columns(space), where
         assert picard_image_matrix(space) == reference_picard_image_matrix(space), where

@@ -467,6 +467,23 @@ def test_json_matrices_take_integers_only():
     assert descriptor_from_json(_p2_doc(sq2=[[3]])) == p2_surface()
 
 
+def test_make_surface_matrices_take_integers_only():
+    # the loader's rule, after the shape check: floats, strings, bools and
+    # None are refused, not read as 1 or left to a bare TypeError
+    h_int = (Z, TRIVIAL, Z, TRIVIAL, Z)
+    for entry in (None, "x", "1", 1.5, 1.7, 3.2, 1.0, True, False):
+        bad = ((entry,),)
+        for name, sq2, pi2, s1 in (("sq2", bad, ((1,),), None),
+                                   ("pi2", ((1,),), bad, None),
+                                   ("s1", ((1,),), ((1,),), bad)):
+            with pytest.raises(InconsistentDescriptor, match="^%s entries must be integers$" % name):
+                make_surface(True, h_int, 0, 1, 1, sq2, pi2, s1)
+    with pytest.raises(InconsistentDescriptor, match="sq2 must be a 1x1 F2 matrix"):
+        make_surface(True, h_int, 0, 1, 1, ((None, None),), ((1,),))
+    # odd and negative integers reduce mod 2
+    assert make_surface(True, h_int, 0, 1, 1, ((3,),), ((-1,),)) == p2_surface()
+
+
 def test_projective_duality_covers_odd_torsion():
     # H^2 = Z/3 with H^3 = 0 satisfies the 2-torsion count but not duality
     for h2, h3 in (("Z/3", "0"), ("Z/3", "Z/9"), ("Z/15", "Z/5")):
