@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .errors import DegreeOutOfRange, InconsistentDescriptor, RenderParseError
 from .groups import (
@@ -84,7 +85,18 @@ def make_point() -> SpaceDescriptor:
     return SpaceDescriptor(h_int_table=(Z,))
 
 
+def _scalar(name: str, val, typ=int):
+    """``val`` if its type is exactly ``typ``: a bool is not an int here."""
+    if type(val) is not typ:
+        raise InconsistentDescriptor(
+            "%s must be %s" % (name, "a boolean" if typ is bool else "an integer"))
+    return val
+
+
 def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescriptor:
+    _scalar("projective", projective, bool)
+    _scalar("genus", genus)
+    _scalar("punctures", punctures)
     if genus < 0 or punctures < 0:
         raise InconsistentDescriptor("genus and punctures must be nonnegative")
     if projective and punctures:
@@ -96,19 +108,21 @@ def make_curve(projective: bool, genus: int, punctures: int = 0) -> SpaceDescrip
             "2 * genus + punctures must be at most %d" % MAX_CURVE_RANK)
     b1 = 2 * genus + (0 if projective else punctures - 1)
     rho = 1 if projective else 0  # the degree spans NS of a projective curve
-    return SpaceDescriptor(projective=bool(projective), genus=genus,
+    return SpaceDescriptor(projective=projective, genus=genus,
                            punctures=punctures, rho=rho, pi2=identity(rho),
                            h_int_table=(Z, free(b1), Z if projective else TRIVIAL))
 
 
 def _as_f2(m, name: str, rows: int, cols: int) -> Matrix:
+    if not (isinstance(m, (tuple, list)) and set(map(type, m)) <= {tuple, list}):
+        raise InconsistentDescriptor("%s must be a sequence of rows" % name)
     mat = tuple([tuple(row) for row in m])
     if len(mat) != rows or any(len(row) != cols for row in mat):
         raise InconsistentDescriptor(
             "%s must be a %dx%d F2 matrix, got %dx%s"
             % (name, rows, cols, len(mat), [len(r) for r in mat] or "0")
         )
-    if any(type(x) is not int for row in mat for x in row):
+    if not set(map(type, chain.from_iterable(mat))) <= {int}:
         raise InconsistentDescriptor("%s entries must be integers" % name)
     return tuple([tuple([x & 1 for x in row]) for row in mat])
 
@@ -123,7 +137,10 @@ def make_surface(
     pi2,
     s1=None,
 ) -> SpaceDescriptor:
-    table = tuple(h_int)
+    _scalar("projective", projective, bool)
+    for name, val in (("nu", nu), ("rho", rho), ("ch2_mod2_rank", ch2_mod2_rank)):
+        _scalar(name, val)
+    table = tuple(h_int) if isinstance(h_int, (tuple, list)) else ()
     if len(table) != 5 or not all(isinstance(h, SymGroup) for h in table):
         raise InconsistentDescriptor("h_int must list the five groups H^0..H^4")
     if table[0] != Z:
@@ -132,6 +149,9 @@ def make_surface(
         raise InconsistentDescriptor("h1: H^1 of a smooth surface is torsion-free")
     if any(h.divisible_rank for h in table):
         raise InconsistentDescriptor("h_int entries must be finitely generated")
+    if any((h.free_rank > 0) + len(h.torsion) > MAX_GROUP_SUMMANDS for h in table):
+        raise InconsistentDescriptor(
+            "h_int entries may have at most %d summands" % MAX_GROUP_SUMMANDS)
 
     b2 = table[2].free_rank
     t3 = even_count(table[3])
@@ -172,7 +192,7 @@ def make_surface(
     if f2_rank(pi2m) != m2:
         raise InconsistentDescriptor("pi2-injective: pi2 must have full column rank %d" % m2)
     space = SpaceDescriptor(
-        projective=bool(projective),
+        projective=projective,
         h_int_table=table,
         nu=nu,
         rho=rho,
@@ -308,7 +328,7 @@ def _matrix_to_json(m) -> list:
 def _matrix_from_json(data, name: str) -> tuple:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise InconsistentDescriptor("%s must be a list of rows" % name)
-    if any(type(x) is not int for row in data for x in row):
+    if not set(map(type, chain.from_iterable(data))) <= {int}:
         raise InconsistentDescriptor("%s entries must be integers" % name)
     return tuple([tuple(row) for row in data])
 
@@ -355,11 +375,7 @@ def descriptor_from_json(source) -> SpaceDescriptor:
         return make_point()
     if kind == "curve":
         _check_keys(data, {"kind", "projective", "genus", "punctures"})
-        return make_curve(
-            projective=_field(data, "projective", bool),
-            genus=_field(data, "genus", int),
-            punctures=_field(data, "punctures", int),
-        )
+        return make_curve(data["projective"], data["genus"], data["punctures"])
     if kind == "surface":
         _check_keys(
             data,
@@ -379,12 +395,13 @@ def descriptor_from_json(source) -> SpaceDescriptor:
         except RenderParseError as exc:
             raise InconsistentDescriptor("h_int entry unreadable: %s" % exc)
         s1 = data.get("s1")
+        # scalars before matrices, so a file with several faults names the same first one
         return make_surface(
-            projective=_field(data, "projective", bool),
+            projective=_scalar("projective", data["projective"], bool),
             h_int=table,
-            nu=_field(data, "nu", int),
-            rho=_field(data, "rho", int),
-            ch2_mod2_rank=_field(data, "ch2_mod2_rank", int),
+            nu=_scalar("nu", data["nu"]),
+            rho=_scalar("rho", data["rho"]),
+            ch2_mod2_rank=_scalar("ch2_mod2_rank", data["ch2_mod2_rank"]),
             sq2=_matrix_from_json(data["sq2"], "sq2"),
             pi2=_matrix_from_json(data["pi2"], "pi2"),
             s1=None if s1 is None else _matrix_from_json(s1, "s1"),
@@ -399,14 +416,3 @@ def _check_keys(data: dict, allowed: set, optional: set = frozenset()):
     missing = allowed - set(data) - set(optional)
     if missing:
         raise InconsistentDescriptor("missing descriptor keys: %s" % sorted(missing))
-
-
-def _field(data: dict, key: str, typ):
-    val = data.get(key)
-    if typ is bool:
-        if not isinstance(val, bool):
-            raise InconsistentDescriptor("%s must be a boolean" % key)
-        return val
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise InconsistentDescriptor("%s must be an integer" % key)
-    return val

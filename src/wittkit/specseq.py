@@ -6,7 +6,8 @@ carry differentials of bidegree (1, r-1) and are graded by the column s
 alone. Entries are SymGroups, differentials are GroupMaps between them, and
 turning a page replaces every entry by kernel(outgoing)/image(incoming): by
 F2 ranks, each differential ranked once, where that entry and the outgoing
-target are elementary 2-groups, and by ``homology_at`` everywhere else.
+target are elementary 2-groups, and by ``homology_at`` everywhere else. A
+page with no differentials turns by relabelling r.
 
 Three builders instantiate the engine: pardon_e2 (Witt groups of every
 space), ahss_ko and ahss_k (topological KO and K of the underlying
@@ -118,13 +119,23 @@ class BigradedPage:
         return self.entries.get((s, t), TRIVIAL)
 
 
+def _built_page(entries, r: int, convention: str) -> BigradedPage:
+    """A page with no differentials on read-only checked entries, built unchecked."""
+    page = object.__new__(BigradedPage)
+    vars(page).update(entries=entries, r=r, convention=convention,
+                      differentials=MappingProxyType({}))
+    return page
+
+
 def turn_page(page: BigradedPage) -> BigradedPage:
     """Homology at every position; the next page's differentials are zero.
 
-    Elementary 2-group entries whose maps all land in elementary 2-groups read
-    it off F2 ranks, each map ranked once (a zero one with no echelon); other
-    entries go through ``homology_at``. A page with no differentials only
-    relabels r. The next page is built from checked entries, so not checked again."""
+    A page with no differentials relabels r and keeps its entries mapping. Else
+    elementary 2-group entries whose maps all land in elementary 2-groups read it
+    off F2 ranks, each map ranked once (a zero one with no echelon); other entries
+    go through ``homology_at``."""
+    if not page.differentials:
+        return _built_page(page.entries, page.r + 1, page.convention)
     ds, dt = bidegree(page.convention, page.r)
     rank = {pos: f2_rank(gm.matrix) if any(map(any, gm.matrix)) else 0
             for pos, gm in page.differentials.items() if is_elementary_two(gm.codomain)}
@@ -141,10 +152,7 @@ def turn_page(page: BigradedPage) -> BigradedPage:
             h = homology_at(incoming, outgoing)
         if not h.is_trivial:
             new_entries[pos] = h
-    nxt = object.__new__(BigradedPage)
-    vars(nxt).update(entries=MappingProxyType(new_entries), r=page.r + 1,
-                     convention=page.convention, differentials=MappingProxyType({}))
-    return nxt
+    return _built_page(MappingProxyType(new_entries), page.r + 1, page.convention)
 
 
 def _total_degree(convention: str, pos) -> int:

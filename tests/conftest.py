@@ -2,7 +2,7 @@
 
 import pytest
 
-from wittkit import groups
+from wittkit import groups, specseq
 
 
 @pytest.fixture
@@ -58,4 +58,23 @@ def checked_maps(monkeypatch):
         return core(self)
 
     monkeypatch.setattr(groups.GroupMap, "__post_init__", counted)
+    return calls
+
+
+@pytest.fixture
+def checked_pages(monkeypatch):
+    """A list that gains one entry per checked ``BigradedPage`` construction.
+
+    ``BigradedPage(...)`` runs ``__post_init__``, its position, index, shape
+    and composite checks; ``turn_page`` does not. Clear the list between
+    calls counted apart.
+    """
+    calls = []
+    core = specseq.BigradedPage.__post_init__
+
+    def counted(self):
+        calls.append(None)
+        return core(self)
+
+    monkeypatch.setattr(specseq.BigradedPage, "__post_init__", counted)
     return calls

@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sample_spaces
 import wittkit
@@ -33,6 +35,7 @@ from wittkit.groups import (
 from wittkit.spaces import (
     INTEGRAL,
     MAX_CURVE_RANK,
+    MAX_GROUP_SUMMANDS,
     MOD2,
     SpaceDescriptor,
     betti,
@@ -482,6 +485,70 @@ def test_make_surface_matrices_take_integers_only():
         make_surface(True, h_int, 0, 1, 1, ((None, None),), ((1,),))
     # odd and negative integers reduce mod 2
     assert make_surface(True, h_int, 0, 1, 1, ((3,),), ((-1,),)) == p2_surface()
+
+
+def test_constructors_take_the_loaders_scalar_and_matrix_types():
+    # the loader's types: a bool is not an integer, an integer is not a
+    # boolean, and a matrix is a sequence of rows
+    for args in (("yes", 1), (1, 1), (True, 1.0), (True, True), (False, 0, True)):
+        with pytest.raises(InconsistentDescriptor, match="must be an? (integer|boolean)$"):
+            make_curve(*args)
+    h_int = (Z, TRIVIAL, Z, TRIVIAL, Z)
+    good = dict(projective=True, h_int=h_int, nu=0, rho=1, ch2_mod2_rank=1,
+                sq2=((1,),), pi2=((1,),))
+    for key, bad in (("projective", 1), ("nu", False), ("rho", True), ("rho", 1.0),
+                     ("ch2_mod2_rank", "1")):
+        with pytest.raises(InconsistentDescriptor, match="^%s must be" % key):
+            make_surface(**dict(good, **{key: bad}))
+    for key, bad in (("pi2", (1,)), ("pi2", 5), ("sq2", None), ("s1", "1")):
+        with pytest.raises(InconsistentDescriptor, match="^%s must be a sequence of rows$" % key):
+            make_surface(**dict(good, **{key: bad}))
+    with pytest.raises(InconsistentDescriptor, match="^h_int must list"):
+        make_surface(**dict(good, h_int=5))
+    # the loader's bound on the summands of a group, which it reads back
+    h3 = SymGroup(1, (3,) * (MAX_GROUP_SUMMANDS - 1))  # Z + Z/3 + ...: at the bound
+    space = make_surface(False, (Z, TRIVIAL, TRIVIAL, h3, TRIVIAL), 0, 0, 0, (), ())
+    assert descriptor_from_json(descriptor_to_json(space)) == space
+    with pytest.raises(InconsistentDescriptor, match="at most %d summands" % MAX_GROUP_SUMMANDS):
+        make_surface(False, (Z, TRIVIAL, TRIVIAL, SymGroup(1, (3,) * MAX_GROUP_SUMMANDS),
+                             TRIVIAL), 0, 0, 0, (), ())
+    assert make_surface(**dict(good, sq2=[[1]], pi2=[(1,)])) == p2_surface()
+
+
+# values of the wrong type in every field: bools for integers and integers
+# for bools, floats and strings for either, and matrices that are not
+# sequences of integer rows. Whatever a constructor accepts, the loader must
+# read back from its JSON; whatever it refuses, it refuses with the
+# descriptor error.
+WRONG = st.sampled_from((None, True, False, 0, 1, 2, -1, 1.0, 0.5, "1", "yes", 5, (1,),
+                         [], ((1,),), [[1]], ((True,),), [[1.0]], ((1, 0), "ab")))
+SURFACE_FIELDS = ("projective", "h_int", "nu", "rho", "ch2_mod2_rank", "sq2", "pi2", "s1")
+
+
+def accepted_round_trips(make, **args):
+    try:
+        space = make(**args)
+    except InconsistentDescriptor:
+        return
+    assert descriptor_from_json(descriptor_to_json(space)) == space, args
+
+
+@settings(max_examples=200, deadline=None)
+@given(projective=st.booleans() | WRONG, genus=st.integers(-1, 40) | WRONG,
+       punctures=st.integers(-1, 4) | WRONG)
+def test_accepted_curves_round_trip(projective, genus, punctures):
+    accepted_round_trips(make_curve, projective=projective, genus=genus, punctures=punctures)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(CATALOG_SURFACES), data=st.data())
+def test_accepted_surfaces_round_trip(name, data):
+    space = catalog_get(name).descriptor
+    args = {key: getattr(space, key) for key in SURFACE_FIELDS if key != "h_int"}
+    args["h_int"] = space.h_int_table
+    for key in data.draw(st.lists(st.sampled_from(SURFACE_FIELDS), max_size=3, unique=True)):
+        args[key] = data.draw(WRONG)
+    accepted_round_trips(make_surface, **args)
 
 
 def test_projective_duality_covers_odd_torsion():

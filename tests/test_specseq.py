@@ -722,6 +722,46 @@ def test_builder_pages_construct_no_checked_map(checked_maps, name):
     assert len(checked_maps) == 1
 
 
+@pytest.mark.parametrize("name", COUNTED_SURFACES)
+def test_an_engine_checks_only_its_builder_page(checked_pages, name):
+    # the page a builder returns is checked once; turning it, by ranks or by
+    # relabelling r, builds every later page from checked entries, unchecked
+    space = catalog_get(name).descriptor
+    for engine in (pardon_stable, ahss_ko, ahss_k):
+        checked_pages.clear()
+        assert engine(space).pages_turned >= 2, (name, engine.__name__)
+        assert len(checked_pages) == 1, (name, engine.__name__)
+    checked_pages.clear()
+    # a page a user builds is checked, and a malformed one still refused
+    A = elementary_two(1)
+    one = GroupMap(A, A, ((1,),))
+    with pytest.raises(MalformedPage, match="do not compose to zero"):
+        BigradedPage(entries={(0, 0): A, (2, -1): A, (4, -2): A}, r=2,
+                     convention=COHOMOLOGICAL, differentials={(0, 0): one, (2, -1): one})
+    assert len(checked_pages) == 1
+
+
+@pytest.mark.parametrize("name", ("ruled?g=8", "enriques", "p2"))
+def test_a_page_with_no_differentials_turns_by_relabelling(monkeypatch, name):
+    # after d2 the engines' pages have no differentials: the next page keeps
+    # the same entries mapping, and no group is built or ranked on the way
+    built = []
+    core = SymGroup.__post_init__
+    for build in BUILDERS:
+        page = turn_page(build(catalog_get(name).descriptor))
+        with monkeypatch.context() as m:
+            m.setattr(SymGroup, "__post_init__", lambda g: built.append(g) or core(g))
+            for counted in ("wittkit.groups.from_counts", "wittkit.specseq.homology_at",
+                            "wittkit.specseq.f2_rank"):
+                m.setattr(counted, lambda *a: built.append(a))
+            nxt = turn_page(page)
+            last = turn_page(nxt)
+        assert built == [], (name, build.__name__)
+        assert nxt.entries is page.entries and last.entries is page.entries
+        assert (nxt.r, nxt.convention, nxt.differentials) == (4, page.convention, {})
+        assert last.r == 5
+
+
 def assert_pages_equal_checked_rebuilds(space):
     # rebuilt through the checked constructors, every page is the same page;
     # a built map that broke a relation would raise in GroupMap here
