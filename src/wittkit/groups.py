@@ -247,10 +247,6 @@ def f2_mul(a, b, b_cols: int | None = None) -> Matrix:
     return tuple([tuple([x % 2 for x in row]) for row in mat_mul(a, b, b_cols)])
 
 
-def f2_is_zero(m) -> bool:
-    return all(x % 2 == 0 for row in m for x in row)
-
-
 # ---------------------------------------------------------------------------
 # canonical groups
 

@@ -276,6 +276,15 @@ def c1_rank(space: SpaceDescriptor) -> int:
     return space.rho + space.nu
 
 
+def thom_space(curve: SpaceDescriptor) -> SpaceDescriptor:
+    """The Thom space of an odd-degree line bundle L on a projective curve, an open
+    surface with cells in dimensions 0, 2, 3 (b1 of them) and 4. Its Thom class u spans
+    Pic/2, and Sq2 u = w2(L) u by Wu's formula, where w2(L) = deg L mod 2 is the top class."""
+    one = identity(1)
+    return SpaceDescriptor(projective=False, h_int_table=(Z, TRIVIAL) + curve.h_int_table,
+                           rho=1, ch2_mod2_rank=1, sq2=one, pi2=one, s1=one)
+
+
 def k0_alg(space: SpaceDescriptor) -> tuple:
     """Graded pieces (rank, c1, c2) of algebraic K_0, up to the dimension."""
     return (Z, picard(space), cohomology(space, 4, INTEGRAL))[: space.dim + 1]

@@ -8,10 +8,8 @@ formula over cell data: the integral cohomology H^0..H^4 and the rank of
 Sq2 from H^2(Z)/2 to H^4(Z/2), read off the Atiyah-Hirzebruch page.
 Realification followed by complexification is multiplication by 2, so every
 quotient has exponent two, and the formula counts its Z/2 summands. A
-reduced row is the count minus the point's count. A curve twisted by O(p) is
-read off the Thom space of O(p), whose Sq2 is onto its top cell by Wu's
-formula. Odd KO totals of surfaces are never emitted: the quotient formulas
-do not need them.
+reduced row is the count minus the point's count. Odd KO totals of surfaces
+are never emitted: the quotient formulas do not need them.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .spaces import (
     sq2_integral,
 )
 from .specseq import KO_POINT as _KO_POINT, ahss_ko
-from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, w_row
+from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, thom_row, w_row
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +98,10 @@ KOK_POINT = tuple([elementary_two(_kok_count((Z,), 0, i)) for i in range(4)])
 
 def kok_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
     """KO^0/K, KO^2/K, KO^4/K and KO^6/K of the space, from one rank of Sq2."""
-    tw = check_twist(space, twist)
-    if tw == ODD_TWIST:
-        # KO^n(C; L) is the reduced KO^(n+2) of the Thom space of L; by Wu's
-        # formula Sq2 of its Thom class is w2(L) = deg L mod 2, the top class
-        thom = (Z, TRIVIAL) + space.h_int_table
-        counts = [_kok_count(thom, 1, i + 1) - _kok_count((Z,), 0, i + 1) for i in range(4)]
-    else:
-        rank = f2_rank(sq2_integral(space))
-        counts = [_kok_count(space.h_int_table, rank, i) for i in range(4)]
-    return tuple([elementary_two(count) for count in counts])
+    if check_twist(space, twist) == ODD_TWIST:
+        return thom_row(kok_row, space, KOK_POINT)
+    rank = f2_rank(sq2_integral(space))
+    return tuple([elementary_two(_kok_count(space.h_int_table, rank, i)) for i in range(4)])
 
 
 def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:

@@ -48,6 +48,7 @@ from .spaces import (
     mod2_betti,
     picard,
     require_kind,
+    thom_space,
 )
 
 TRIVIAL_TWIST = "trivial"
@@ -90,6 +91,13 @@ def minus_point(total: SymGroup, point: SymGroup, twist) -> SymGroup:
     if min(counts) < 0:
         raise InvariantViolation("%s is not a summand of %s" % (render(point), render(total)))
     return from_counts(*counts)
+
+
+def thom_row(row_of, curve: SpaceDescriptor, point_row: tuple) -> tuple:
+    """The row of ``curve`` under O(p), by the Thom isomorphism: shift i reads the
+    untwisted ``row_of`` its Thom space at shift i + 1, minus ``point_row`` there."""
+    row = row_of(thom_space(curve), TRIVIAL_TWIST)
+    return tuple([minus_point(row[i], point_row[i], TRIVIAL_TWIST) for i in (1, 2, 3, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +164,24 @@ def w_surface(space: SpaceDescriptor, i: int) -> SymGroup:
 
 def w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST) -> SymGroup:
     """W^i of any space, elementary_two of one count over its Picard and Chow
-    data: untwisted, 1 + h^1 + h^2 - rank c1 (rank c1 = rho + nu), rank Pic/2 -
-    rank s1 + h^3, ch2 - rank s1 and 0; under O(p), a curve's paper row h^1, 0, 0, 0."""
+    data: 1 + h^1 + h^2 - rank c1, rank Pic/2 - rank s1 + h^3, ch2 - rank s1 and 0,
+    where Pic/2 and c1 have rank rho + nu; under O(p), read off the Thom space."""
     return w_row(space, twist)[i % 4]
 
 
 def w_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
-    """W^0..W^3 of the space, from rank c1 = rho + nu and one F2 rank, that of s1."""
+    """W^0..W^3 of the space, from rank c1 = rho + nu and one F2 rank, that of s1;
+    a curve under O(p) reads the untwisted row of its Thom space through ``thom_row``."""
     return _w_row(space, check_twist(space, twist))
 
 
 def _w_row(space: SpaceDescriptor, tw: str) -> tuple:
     """``w_row`` under the normalized twist ``tw``; h^p = rank H^p(Z/2); ranks only s1."""
-    h1, h2, h3 = [mod2_betti(space.h_int_table, p) for p in (1, 2, 3)]
     if tw == ODD_TWIST:
-        counts = (h1, 0, 0, 0)
-    else:
-        s1 = f2_rank(space.s1)
-        counts = (1 + h1 + h2 - c1_rank(space), mod2_rank(picard(space)) - s1 + h3,
-                  space.ch2_mod2_rank - s1, 0)
+        return thom_row(_w_row, space, _W_POINT)
+    h1, h2, h3 = [mod2_betti(space.h_int_table, p) for p in (1, 2, 3)]
+    s1, c1 = f2_rank(space.s1), c1_rank(space)
+    counts = (1 + h1 + h2 - c1, c1 - s1 + h3, space.ch2_mod2_rank - s1, 0)
     row = tuple([elementary_two(count) for count in counts])
     if space.dim == 2 and space.projective:
         # Betti-number forms of the same groups; a second route through the data

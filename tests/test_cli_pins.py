@@ -25,7 +25,7 @@ def assert_pinned(pin, code, out, err):
 
 
 def test_pins_are_well_formed():
-    assert len(PINS) == len(set(IDS)) == 35
+    assert len(PINS) == len(set(IDS)) == 37
     for pin in PINS:
         assert set(pin) <= {"argv", "exit", "stdout", "stderr_prefix", "timeout", "reason"}, pin
         assert pin["reason"] and pin["exit"] in (0, 1, 2), pin

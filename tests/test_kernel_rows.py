@@ -35,7 +35,7 @@ from sample_spaces import (
 )
 from test_generated_surfaces import open_surfaces, projective_surfaces
 
-from wittkit import groups, specseq, topko, witt
+from wittkit import compare, groups, specseq, topko, witt
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.compare import compare_w_kok
 from wittkit.errors import DegreeOutOfRange, ShapeMismatch, UnsupportedDivisibleMap
@@ -573,6 +573,21 @@ def test_twist_is_validated_once(monkeypatch, twist):
         calls.clear()
         call(space, twist)
         assert len(calls) == 1, call
+
+
+def test_each_twisted_table_reads_the_thom_model_once(monkeypatch):
+    # W and KO/K of a curve under O(p) are read off one Thom-space model per
+    # row; an untwisted table never builds it
+    importers = [m for m in (compare, specseq, topko, witt) if hasattr(m, "thom_space")]
+    assert importers
+    reads = [count_calls(monkeypatch, module, "thom_space") for module in importers]
+    space = make_curve(True, 5)
+    for call, twisted in ((witt_table, 1), (ko_table, 1), (karoubi_check, 1), (compare_w_kok, 2)):
+        for twist, expected in ((TRIVIAL_TWIST, 0), (ODD_TWIST, twisted)):
+            for calls in reads:
+                calls.clear()
+            call(space, twist)
+            assert sum(map(len, reads)) == expected, (call, twist)
 
 
 def test_mod2_betti_reads_the_mod2_cohomology():

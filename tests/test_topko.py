@@ -24,14 +24,13 @@ from wittkit.groups import (
     SymGroup,
     direct_sum,
     elementary_two,
-    f2_is_zero,
     f2_rank,
     free,
     mod2_rank,
     two_torsion,
 )
-from wittkit.spaces import betti, make_curve, make_point, make_surface
-from wittkit.specseq import ahss_k, ahss_ko
+from wittkit.spaces import betti, make_curve, make_point, make_surface, thom_space
+from wittkit.specseq import ahss_k, ahss_ko, pardon_stable
 from wittkit.topko import (
     KoTable,
     eta_iso_check,
@@ -48,7 +47,7 @@ from wittkit.topko import (
     sq2_integral,
     topko_json_payload,
 )
-from wittkit.witt import w_curve, w_point
+from wittkit.witt import w, w_curve, w_point
 
 SURFACES = [
     p2_surface(),
@@ -171,7 +170,7 @@ def test_kok_compact_four_manifold_pattern():
     # b1 = 4, b2 = 6, nu = 0, vanishing integral Sq2
     x = abelian_like_surface()
     b = betti(x)
-    assert f2_is_zero(sq2_integral(x))
+    assert f2_rank(sq2_integral(x)) == 0
     assert kok(x, 0) == elementary_two(1 + b[1] + 2 * x.nu)
     assert kok(x, 2) == elementary_two(b[1] + b[2] + 2 * x.nu)
     assert kok(x, 4) == Z2
@@ -267,14 +266,20 @@ def thom_space_of_odd_bundle(g):
 
 def test_twisted_curve_kok_is_the_reduced_kok_of_the_thom_space():
     # KO^n(C; L) = reduced KO^(n+2)(Th L); ahss_ko and eta_iso_check read the
-    # Thom space off its own page, independently of the twisted curve row
+    # Thom space off its own page, independently of the twisted curve row, and
+    # so does pardon_stable for W^i(C; L) = reduced W^(i+1)(Th L)
     for g in range(61):
         thom = thom_space_of_odd_bundle(g)
         assert not ahss_ko(thom).unknown_degrees, g
         assert eta_iso_check(thom), g
         curve = make_curve(True, g)
+        # the model the twisted rows read equals the one make_surface validates
+        assert thom_space(curve) == thom, g
+        rep = pardon_stable(thom)
         for i in range(4):
             assert kok_reduced(thom, 2 * i + 2) == kok(curve, 2 * i, "O(p)"), (g, i)
+            column = rep.resolved_group((i + 1) % 4)
+            assert column == direct_sum(w(curve, i, "O(p)"), w_point(i + 1)), (g, i)
 
 
 @pytest.mark.parametrize(
