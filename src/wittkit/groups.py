@@ -22,10 +22,12 @@ Matrix convention: a matrix is a tuple of row tuples of exact ints, and
 ``GroupMap`` refuses any other entry, as ``SymGroup`` refuses a rank or an
 invariant factor that is not an int. An m-by-0 matrix is ``((),) * m`` and
 a 0-by-n matrix is ``()``; functions that cannot infer a dimension from the
-data take it explicitly; ``mat_mul`` refuses a ragged operand. Tuples are
-built from lists: a tuple built from a generator is resized, never reusing a
-freed one, so CPython's free lists fill. The constructors' checks and
-``mat_mul`` (by columns) run per entry in C builtins. ``from_counts`` builds
+data take it explicitly; ``product_columns`` refuses a ragged operand for
+``mat_mul`` and for the one F2 product, Sq2 after pi2, which
+``spaces.sq2_integral`` sums by rows. Tuples are built from lists: a tuple
+built from a generator is resized, never reusing a freed one, so CPython's
+free lists fill. The constructors' checks and ``mat_mul`` (by columns) run
+per entry in C builtins. ``from_counts`` builds
 Z^a + (Z/2)^b + D(t), the shape of every table row and of ``elementary_two``,
 with no per-factor check, which ``SymGroup(...)`` keeps, and ``built_map`` a map
 valid by construction with no per-entry check, which ``GroupMap(...)`` keeps. A
@@ -64,13 +66,20 @@ def transpose(m, cols: int | None = None) -> Matrix:
     return tuple([tuple([row[i] for row in m]) for i in range(nc)])
 
 
-def mat_mul(a, b, b_cols: int | None = None) -> Matrix:
-    """a (p x q) times b (q x r); pass b_cols when b has no rows."""
+def product_columns(a, b, b_cols: int | None = None) -> int:
+    """The column count of a times b, refusing a ragged operand or inner
+    dimensions that disagree; pass b_cols when b has no rows."""
     nc = b_cols if b_cols is not None else (len(b[0]) if b else 0)
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatch("inner dimensions disagree: %d vs %d" % (len(a[0]), len(b)))
     if len({*map(len, a)}) > 1 or {*map(len, b)} - {nc}:
         raise ShapeMismatch("ragged operand: the rows of a matrix differ in length")
+    return nc
+
+
+def mat_mul(a, b, b_cols: int | None = None) -> Matrix:
+    """a (p x q) times b (q x r); pass b_cols when b has no rows."""
+    nc = product_columns(a, b, b_cols)
     cols = list(zip(*b)) or [()] * nc
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
@@ -241,10 +250,6 @@ def _f2_echelon(vectors) -> list:
 def f2_rank(m) -> int:
     """Rank over F2; integer entries are reduced mod 2."""
     return len(_f2_echelon(m))
-
-
-def f2_mul(a, b, b_cols: int | None = None) -> Matrix:
-    return tuple([tuple([x % 2 for x in row]) for row in mat_mul(a, b, b_cols)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import mod
 
 from .errors import DegreeOutOfRange, InconsistentDescriptor, RenderParseError
 from .groups import (
@@ -26,12 +27,12 @@ from .groups import (
     SymGroup,
     elementary_two,
     even_count,
-    f2_mul,
     f2_rank,
     free,
     identity,
     mod2_rank,
     parse_group,
+    product_columns,
     render,
 )
 
@@ -312,8 +313,13 @@ def picard_image_matrix(space: SpaceDescriptor) -> Matrix:
 
 def sq2_integral(space: SpaceDescriptor) -> Matrix:
     """Sq2 restricted to the image of H^2(Z) inside H^2(Z/2), as an F2 matrix
-    on the mod-2 reduction of H^2(Z); it has no rows below dimension two."""
-    return f2_mul(space.sq2, space.pi2)
+    on the mod-2 reduction of H^2(Z); it has no rows below dimension two. Row i
+    sums mod 2 the rows of pi2 that the odd entries of row i of sq2 pick."""
+    sq2, pi2 = space.sq2, space.pi2
+    zero = (0,) * product_columns(sq2, pi2)
+    return tuple([tuple(map(mod, map(sum, zip(zero, *compress(pi2, map(mod, row, repeat(2))))),
+                            repeat(2)))
+                  for row in sq2])
 
 
 def sq2z_on_pic(space: SpaceDescriptor) -> Matrix:

@@ -17,6 +17,8 @@ rather than silently dropped.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import mod
 from types import MappingProxyType
 
 from .errors import MalformedPage
@@ -217,18 +219,19 @@ def run_to_stable(
     unknown = []
     start = page.r
     while True:
-        ds, dt = bidegree(page.convention, page.r)
+        r, entries, installed = page.r, page.entries, page.differentials
+        ds, dt = bidegree(page.convention, r)
         if ds > s_hi - s_lo or abs(dt) > t_hi - t_lo:
             break
-        declared = known_zero.get(page.r, ())
-        for pos, grp in page.entries.items():
+        declared = known_zero.get(r, ())
+        for pos, grp in entries.items():
             tgt = (pos[0] + ds, pos[1] + dt)
-            tgt_grp = page.entries.get(tgt)
-            if tgt_grp is None or pos in page.differentials or pos in declared:
+            tgt_grp = entries.get(tgt)
+            if tgt_grp is None or pos in installed or pos in declared:
                 continue
             if grp.free_rank == 0 and not tgt_grp.torsion:
                 continue  # finite source, torsion-free target: forced zero
-            unknown.append((page.r, pos, tgt))
+            unknown.append((r, pos, tgt))
         page = turn_page(page)
 
     degrees = {}
@@ -283,7 +286,14 @@ def _map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
     Columns of ``rows`` are indexed by the free-then-even-torsion generators
     of the domain; odd-torsion generators get zero columns. The codomain must
     have exponent 2, so the lift is a map by construction and built unchecked.
+    Rows that fit a domain with no odd-order generator are read mod 2; any
+    other input takes the generator lookup, which refuses a missing entry.
     """
+    head = rows[:codomain.ngens]
+    if ((not domain.torsion or domain.torsion[0] % 2 == 0) and len(head) == codomain.ngens
+            and not {*map(len, head)} - {domain.ngens}):
+        return built_map(domain, codomain,
+                         tuple([tuple(map(mod, map(int, row), repeat(2))) for row in head]))
     src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
     full = tuple([
         tuple([int(rows[i][src_col[j]]) % 2 if j in src_col else 0

@@ -9,21 +9,23 @@ and ``ReferenceGroupMap``, ``reference_composite_is_zero``,
 ``composite_is_zero``, ``cokernel_map`` and ``kok`` as they stood when each
 walked every entry in a Python generator (``kok`` composing Sq2 with pi2 for
 every shift), copied verbatim with the helpers they read (only renamed).
-On drawn matrices, groups and maps every entry point must give the same
-value, or raise the same exception type with the same message. The one
-departure is intended: a ragged operand of ``mat_mul`` or ``f2_mul`` is now
-refused with ``ShapeMismatch``, where the old product truncated or raised a
-bare ``IndexError``. The echelon's pivots may differ as vectors (each is
+``f2_mul`` is gone: ``reference_f2_mul`` is now the oracle of
+``spaces.sq2_integral``, which sums Sq2 after pi2 by rows. On drawn
+matrices, groups and maps every entry point must give the same value, or
+raise the same exception type with the same message. The one departure is
+intended: a ragged operand of ``mat_mul`` or ``sq2_integral`` is now refused
+with ``ShapeMismatch``, where the old product truncated or raised a bare
+``IndexError``. The echelon's pivots may differ as vectors (each is
 reduced only until its lowest bit is new); their lowest bits, in order, and
 their span may not.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sample_spaces import (
     abelian_like_surface,
@@ -48,7 +50,6 @@ from wittkit.groups import (
     cokernel_map,
     elementary_two,
     even_count,
-    f2_mul,
     f2_rank,
     is_elementary_two,
     mat_mul,
@@ -302,12 +303,11 @@ def products(draw):
 @given(products())
 def test_products_match_the_generator_route(drawn):
     a, b, b_cols = drawn
-    for new, old in ((mat_mul, reference_mat_mul), (f2_mul, reference_f2_mul)):
-        if ragged(a, b, b_cols):
-            with pytest.raises(ShapeMismatch):
-                new(a, b, b_cols)
-        else:
-            assert outcome(new, a, b, b_cols) == outcome(old, a, b, b_cols)
+    if ragged(a, b, b_cols):
+        with pytest.raises(ShapeMismatch):
+            mat_mul(a, b, b_cols)
+    else:
+        assert outcome(mat_mul, a, b, b_cols) == outcome(reference_mat_mul, a, b, b_cols)
 
 
 def test_ragged_operands_are_refused():
@@ -319,12 +319,62 @@ def test_ragged_operands_are_refused():
         reference_mat_mul(((1, 2),), ((1, 1), (1,)))
     for a, b in ((((1, 2), (3, 4, 5)), ((1,), (1,))), (((1, 2), (3,)), ((1,), (1,))),
                  (((1, 2),), ((1, 1), (1,)))):
-        for call in (mat_mul, f2_mul):
-            with pytest.raises(ShapeMismatch, match="ragged operand"):
-                call(a, b)
+        with pytest.raises(ShapeMismatch, match="ragged operand"):
+            mat_mul(a, b)
     with pytest.raises(ShapeMismatch, match="ragged operand"):
         mat_mul(((1,),), ((1, 1),), 3)  # b_cols disagrees with b's rows
     assert mat_mul(((1, 2),), (), 2) == reference_mat_mul(((1, 2),), (), 2) == ((0, 0),)
+
+
+# ---------------------------------------------------------------------------
+# Sq2 after pi2, by rows
+
+
+def assert_sq2_is_the_f2_product(space):
+    assert sq2_integral(space) == reference_f2_mul(space.sq2, space.pi2), str(space)
+
+
+def test_sq2_integral_is_the_f2_product_on_the_catalog():
+    for name in catalog_instances():
+        assert_sq2_is_the_f2_product(catalog_get(name).descriptor)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(projective_surfaces())
+def test_sq2_integral_is_the_f2_product_on_generated_surfaces(drawn):
+    assert_sq2_is_the_f2_product(drawn[0])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(open_surfaces())
+def test_sq2_integral_is_the_f2_product_on_open_surfaces(drawn):
+    assert_sq2_is_the_f2_product(drawn[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(products())
+def test_sq2_integral_is_the_f2_product_on_drawn_matrices(drawn):
+    # integer entries only: the F2 matrices of a descriptor are ints
+    sq2, pi2, b_cols = drawn
+    assume(all(type(x) in (int, bool) for row in sq2 + pi2 for x in row))
+    space = SpaceDescriptor(sq2=sq2, pi2=pi2)
+    if ragged(sq2, pi2, None):
+        with pytest.raises(ShapeMismatch):
+            sq2_integral(space)
+    elif pi2 or b_cols in (None, 0):  # the product reads its width off pi2
+        assert outcome(sq2_integral, space) == outcome(reference_f2_mul, sq2, pi2)
+
+
+@pytest.mark.parametrize("name", ["blowup_p2", "enriques", "k3?rho=20", "ruled?g=2"])
+def test_a_descriptor_forced_ragged_is_refused(name):
+    # replace runs no check of make_surface, so a ragged operand reaches the product
+    space = catalog_get(name).descriptor
+    short_pi2 = space.pi2[:-1] + (space.pi2[-1][:-1],)
+    two_sq2_rows = space.sq2 + (space.sq2[0] + (0,),)
+    for forced in (replace(space, pi2=short_pi2), replace(space, sq2=two_sq2_rows)):
+        for call in (sq2_integral, ahss_ko_page):
+            with pytest.raises(ShapeMismatch, match="ragged operand"):
+                call(forced)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +613,22 @@ def test_sq2_is_composed_once_per_page_and_row(monkeypatch, space):
     compare_w_kok(space)
     # a shift-0 mismatch reads its reduced ranks off the rows it holds
     assert len(in_topko) == 1
+
+
+def test_catalog_surfaces_multiply_no_integer_matrices(monkeypatch):
+    # Sq2 after pi2 is summed by rows: building the surfaces and running the
+    # three engines and the tables on them multiplies no integer matrices
+    products = count_calls(monkeypatch, groups, "mat_mul")
+    names = [name for name in catalog_instances() if catalog_get(name).descriptor.dim == 2]
+    assert len(names) == 8
+    for name in names:
+        space = catalog_get(name).descriptor
+        for call in (specseq.ahss_ko, specseq.ahss_k, specseq.pardon_stable, witt_table,
+                     ko_table, compare_w_kok):
+            call(space)
+    assert products == []
+    groups.mat_mul(((1,),), ((1,),))  # the counter sees a product
+    assert len(products) == 1
 
 
 @pytest.mark.parametrize("twist", [TRIVIAL_TWIST, ODD_TWIST])

@@ -7,13 +7,16 @@ routes they replaced.
 ``w_point``, ``pardon_e2``, ``eta_iso_check`` and ``k0_alg`` as they stood
 when each dispatched on the kind or dimension of the space, copied verbatim
 (only renamed, with the tables they read: ``REFERENCE_W_POINT`` and
-``REFERENCE_KO_DEGREE_READ``). ``reference_w`` reaches curves and surfaces
-through ``reference_w_curve`` and ``reference_w_surface``, so it shares no W
-code with the package. ``reference_ko_known_zero`` and
-``reference_k_known_zero`` are the page-3 pins of the Atiyah-Hirzebruch
-engines when they depended on the dimension; the constant pins must give
-the same reports. Every entry point must give the same render, or raise the
-same error signal, at every shift 0..7 and in both twists.
+``REFERENCE_KO_DEGREE_READ``), except that ``reference_pardon_e2`` lifts s1
+with ``parent_map_from_f2``, not the live lift: that is ``_map_from_f2`` as it
+stood when every lift went through the generator lookup, copied verbatim.
+``reference_w`` reaches curves and surfaces through ``reference_w_curve`` and
+``reference_w_surface``, so it shares no W code with the package.
+``reference_ko_known_zero`` and ``reference_k_known_zero`` are the page-3
+pins of the Atiyah-Hirzebruch engines when they depended on the dimension;
+the constant pins must give the same reports. Every entry point must give
+the same render, or raise the same error signal, at every shift 0..7 and in
+both twists.
 """
 
 import dataclasses
@@ -35,11 +38,14 @@ from wittkit.groups import (
     TRIVIAL,
     Z,
     Z2,
+    GroupMap,
     SymGroup,
+    built_map,
     elementary_two,
     exponent_two,
     f2_rank,
     mod2,
+    mod2_generators,
     mod2_rank,
     render,
     two_torsion,
@@ -61,7 +67,6 @@ from wittkit.specseq import (
     BigradedPage,
     EInfinityReport,
     _PARDON_KNOWN_ZERO,
-    _map_from_f2,
     ahss_k,
     ahss_k_page,
     ahss_ko,
@@ -102,6 +107,18 @@ def reference_w(space: SpaceDescriptor, i: int, twist=TRIVIAL_TWIST):
     return reference_w_surface(space, i)
 
 
+def parent_map_from_f2(domain: SymGroup, codomain: SymGroup, rows) -> GroupMap:
+    """``_map_from_f2`` as it stood when every lift went through the generator
+    lookup, entry by entry, copied verbatim (only renamed)."""
+    src_col = {j: c for c, j in enumerate(mod2_generators(domain))}
+    full = tuple([
+        tuple([int(rows[i][src_col[j]]) % 2 if j in src_col else 0
+               for j in range(domain.ngens)])
+        for i in range(codomain.ngens)
+    ])
+    return built_map(domain, codomain, full)
+
+
 def reference_pardon_e2(space) -> BigradedPage:
     """E2-page of the spectral sequence converging to the Witt groups.
 
@@ -132,7 +149,7 @@ def reference_pardon_e2(space) -> BigradedPage:
     if (0, 1) in entries and (1, 2) in entries:
         diffs[(0, 1)] = zero_map(entries[(0, 1)], entries[(1, 2)])
     if (1, 1) in entries and (2, 2) in entries:
-        diffs[(1, 1)] = _map_from_f2(entries[(1, 1)], entries[(2, 2)], space.s1)
+        diffs[(1, 1)] = parent_map_from_f2(entries[(1, 1)], entries[(2, 2)], space.s1)
     return BigradedPage(entries=entries, r=2, convention=PARDON, differentials=diffs)
 
 

@@ -17,6 +17,8 @@ from sample_spaces import (
     ruled_surface,
 )
 from test_generated_surfaces import open_surfaces, projective_surfaces
+from test_kernel_rows import count_calls, reference_f2_mul
+from test_space_rows import parent_map_from_f2
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.errors import MalformedPage, UnsupportedDivisibleMap
 from wittkit import specseq
@@ -44,7 +46,6 @@ from wittkit.spaces import (
     make_curve,
     make_point,
     singular_h,
-    sq2_integral,
 )
 from wittkit.specseq import (
     COHOMOLOGICAL,
@@ -589,9 +590,11 @@ def test_ahss_page_builds_each_group_once(monkeypatch, name):
 # the Atiyah-Hirzebruch pages against their hand-written rows
 
 # The two page builders as they stood before both were read off the point's
-# KO and K tables, copied verbatim (only renamed). The shared builder must
-# give the same entries in the same order, the same differentials and the
-# same dump, and the engines the same reports.
+# KO and K tables, copied verbatim (only renamed), except that the KO page
+# lifts its d2 with ``parent_map_from_f2`` and composes Sq2 with pi2 by
+# ``reference_f2_mul``, so it shares neither with the package. The shared
+# builder must give the same entries in the same order, the same
+# differentials and the same dump, and the engines the same reports.
 
 # KO coefficient rows inside one Bott window: q = 0, -4, -8 carry H^p(Z),
 # q = -1, -2, -9, -10 carry H^p(Z/2), the rest vanish
@@ -625,10 +628,10 @@ def reference_ahss_ko_page(space) -> BigradedPage:
             if p < 2:
                 diffs[src] = zero_map(entries[src], entries[tgt])
             elif q_src in (0, -8):
-                diffs[src] = _map_from_f2(entries[src], entries[tgt],
-                                          sq2_integral(space))
+                diffs[src] = parent_map_from_f2(entries[src], entries[tgt],
+                                                reference_f2_mul(space.sq2, space.pi2))
             else:
-                diffs[src] = _map_from_f2(entries[src], entries[tgt], space.sq2)
+                diffs[src] = parent_map_from_f2(entries[src], entries[tgt], space.sq2)
     return BigradedPage(entries=entries, r=2, convention=COHOMOLOGICAL,
                         differentials=diffs)
 
@@ -842,6 +845,68 @@ def test_f2_lift_into_elementary_two_is_the_checked_map(domain, m, data):
     rows = f2_rows(data.draw, domain, m)
     assert lift_outcome(_map_from_f2, domain, codomain, rows) == lift_outcome(
         reference_map_from_f2, domain, codomain, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_lift_domains(), st.integers(0, 1), st.integers(0, 4), st.data())
+def test_f2_lift_matches_the_generator_lookup_on_any_rows(domain, div, m, data):
+    # rows too few or too many, each too short or too long, odd-order and
+    # divisible domains: the same map, or the same exception and message
+    domain = SymGroup(domain.free_rank, domain.torsion, div)
+    codomain = elementary_two(m)
+    widths = st.sampled_from((mod2_rank(domain), domain.ngens)) | st.integers(0, domain.ngens + 1)
+    rows = [data.draw(st.lists(st.integers(-2, 3), min_size=w, max_size=w))
+            for w in data.draw(st.lists(widths, min_size=max(m - 1, 0), max_size=m + 1))]
+    if data.draw(st.booleans()):
+        rows = tuple(map(tuple, rows))
+    assert lift_outcome(_map_from_f2, domain, codomain, rows) == lift_outcome(
+        parent_map_from_f2, domain, codomain, rows)
+
+
+def assert_lifts_match_the_generator_lookup(space):
+    # every lift a builder asks for, with the rows it passes
+    asked = []
+    live = specseq._map_from_f2
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specseq, "_map_from_f2", lambda *args: asked.append(args) or live(*args))
+        for build in BUILDERS:
+            build(space)
+    for args in asked:
+        assert lift_outcome(live, *args) == lift_outcome(parent_map_from_f2, *args), str(space)
+    return asked
+
+
+def test_lifts_match_the_generator_lookup_on_the_catalog():
+    lifted = 0
+    for name in catalog_instances():
+        lifted += len(assert_lifts_match_the_generator_lookup(catalog_get(name).descriptor))
+    assert lifted  # the catalog surfaces lift d2s
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(projective_surfaces())
+def test_lifts_match_the_generator_lookup_on_generated_surfaces(drawn):
+    assert_lifts_match_the_generator_lookup(drawn[0])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(open_surfaces())
+def test_lifts_match_the_generator_lookup_on_open_surfaces(drawn):
+    assert_lifts_match_the_generator_lookup(drawn[0])
+
+
+def test_a_lift_reads_its_rows_mod_2_only_when_they_fit(monkeypatch):
+    # H^2(Z) = Z + Z/3 (an odd-order generator, whose column stays zero) and a
+    # short row take the generator lookup; full rows on Z^2 are read mod 2
+    looked_up = count_calls(monkeypatch, specseq, "mod2_generators")
+    for domain, rows, lookups in ((SymGroup(1, (3,)), ((1,),), 1), (free(2), ((3, -2),), 0),
+                                  (SymGroup(0, (2, 4)), ((1, 1),), 0), (free(2), ((1,),), 1)):
+        looked_up.clear()
+        assert lift_outcome(_map_from_f2, domain, Z2, rows) == lift_outcome(
+            parent_map_from_f2, domain, Z2, rows)
+        assert len(looked_up) == lookups, (domain, rows)
+    assert _map_from_f2(SymGroup(1, (3,)), Z2, ((1,),)).matrix == ((1, 0),)
+    assert _map_from_f2(free(2), Z2, ((3, -2),)).matrix == ((1, 0),)
 
 
 # ---------------------------------------------------------------------------
