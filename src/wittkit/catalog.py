@@ -6,6 +6,14 @@ a registered descriptor carries a note saying which geometric fact pins it
 down. Godeaux-type and bielliptic surfaces are deliberately absent: their
 fundamental groups are classical but complete (Betti, torsion, Picard, Sq2)
 tuples would have to be invented.
+
+An entry whose parameters the registry bounds (the plain names, ``curve?g=``,
+``k3?rho=`` and ``ruled?g=``, 44 in all) is built and checked by
+``make_surface``/``make_curve`` on its first lookup and kept for the life of
+the process; ``affine_curve?g=&n=`` ranges over thousands of names and builds
+in microseconds, so it is built on every lookup. Every lookup returns a fresh
+``CatalogEntry`` with its own ``notes`` dict, and a refused name is refused
+again on every call.
 """
 
 from __future__ import annotations
@@ -230,6 +238,19 @@ _PARAMETRIC = {
     "ruled": (_entry_ruled, ("g",)),
 }
 
+# (builder, arguments) -> the entry it built; a builder refuses every argument
+# outside the registered range before anything is stored, so this holds at
+# most 44 entries
+_BUILT = {}
+
+
+def _built(builder, args: tuple) -> CatalogEntry:
+    entry = _BUILT.get((builder, args))
+    if entry is None:
+        entry = _BUILT[(builder, args)] = builder(*args)
+    # the descriptor is frozen; the notes dict is the caller's own
+    return CatalogEntry(entry.name, entry.descriptor, dict(entry.notes))
+
 
 def catalog_list() -> tuple:
     """Base names; parametric entries are addressed as name?key=value."""
@@ -292,12 +313,14 @@ def catalog_get(name: str) -> CatalogEntry:
     if base in _PLAIN:
         if sep:
             raise UnknownName("entry %r takes no parameters" % base)
-        return _PLAIN[base]()
+        return _built(_PLAIN[base], ())
     if base in _PARAMETRIC:
         builder, keys = _PARAMETRIC[base]
         if not sep:
             raise UnknownName(
                 "entry %r needs parameters %s" % (base, ", ".join(keys)))
         params = _parse_params(base, query, keys)
-        return builder(**params)
+        if builder is _entry_affine_curve:
+            return builder(**params)
+        return _built(builder, tuple(params[k] for k in keys))
     raise UnknownName("no catalog entry named %r" % base)

@@ -36,11 +36,21 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; our contract reserves 2
     # for failed assertions, so route everything through one exception
     def error(self, message):
         raise _UsageError(message)
+
+    # the help action prints the help and then calls exit(), which would
+    # leave the interpreter; run() returns the status instead. Only error(),
+    # replaced above, passes a message
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
 
 
 def _load_space(source: str):
@@ -356,6 +366,8 @@ def run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.handler(args)
+    except _Exit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -149,6 +149,8 @@ def report_from_json(source) -> ComparisonReport:
         data = json.loads(source)
     except (RecursionError, TypeError, ValueError) as exc:
         raise RenderParseError("report is not valid JSON: %s" % exc) from None
+    if not isinstance(data, dict):
+        raise RenderParseError("report must be a JSON object")
     rows = tuple(
         ShiftRow(_entry(r, "shift", int), parse_group(_entry(r, "W", str)),
                  parse_group(_entry(r, "KOK", str)), _entry(r, "iso", bool))

@@ -1,4 +1,7 @@
-"""Registry contents, parameter grammar, and the pipeline-over-catalog sweep."""
+"""Registry contents, parameter grammar, the pipeline-over-catalog sweep,
+and the per-process memo of registered entries."""
+
+import types
 
 import pytest
 
@@ -10,6 +13,7 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
+from wittkit import catalog
 from wittkit.catalog import (
     MAX_GENUS,
     MAX_K3_RHO,
@@ -170,3 +174,80 @@ def test_instances_are_deterministic_and_include_witnesses():
     assert "k3?rho=20" in names  # designated mismatch witness
     assert "enriques" in names   # designated eta-obstructed witness
     assert all(name == catalog_get(name).name for name in names)
+
+
+# every name whose parameters the registry bounds: the ones built once
+REGISTERED = (
+    ("point", "p1", "p2", "blowup_p2", "enriques")
+    + tuple("curve?g=%d" % g for g in range(MAX_GENUS + 1))
+    + tuple("k3?rho=%d" % rho for rho in range(MAX_K3_RHO + 1))
+    + tuple("ruled?g=%d" % g for g in range(MAX_GENUS + 1))
+)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Empty the memo for one test and count the descriptors catalog_get builds."""
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    made = []
+    for name in ("make_point", "make_curve", "make_surface"):
+        real = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name,
+                            lambda *a, real=real, **k: made.append(a) or real(*a, **k))
+    return made
+
+
+def test_each_registered_entry_is_built_once(builds):
+    assert len(REGISTERED) == 44
+    for name in REGISTERED:
+        before = len(builds)
+        catalog_get(name)
+        assert len(builds) == before + 1, name
+        catalog_get(name)
+        catalog_get(name)
+        assert len(builds) == before + 1, name
+    assert len(catalog._BUILT) == 44
+
+
+def test_a_kept_entry_equals_a_fresh_build(monkeypatch):
+    kept = [catalog_get(name) for name in REGISTERED]
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    for name, entry in zip(REGISTERED, kept):
+        fresh = catalog_get(name)
+        assert fresh == entry and fresh is not entry, name
+        assert catalog_get(name) == fresh, name
+
+
+@pytest.mark.parametrize("name", ["enriques", "k3?rho=10", "curve?g=2",
+                                  "ruled?g=0", "affine_curve?g=1&n=2"])
+def test_changing_returned_notes_leaves_the_next_lookup_alone(name):
+    entry = catalog_get(name)
+    want = dict(entry.notes)
+    entry.notes["genus"] = "changed"
+    entry.notes.pop("rho", None)
+    assert catalog_get(name).notes == want
+    assert catalog_get(name).notes is not catalog_get(name).notes
+
+
+def test_affine_curves_are_built_on_every_lookup(builds):
+    catalog_get("curve?g=1")
+    kept = dict(catalog._BUILT)
+    for i in range(200):
+        catalog_get("affine_curve?g=%d&n=%d" % (i % (MAX_GENUS + 1), 1 + i // 9))
+    assert catalog._BUILT == kept
+    assert len(builds) == 1 + 200
+
+
+@pytest.mark.parametrize("name", ["k3?rho=21", "curve?g=9", "ruled?g=-1"])
+def test_a_refused_name_is_refused_on_every_call(builds, name):
+    for _ in range(3):
+        with pytest.raises(InconsistentDescriptor) as info:
+            catalog_get(name)
+        assert info.value.signal == "inconsistent-descriptor"
+    assert catalog._BUILT == {} and builds == []
+
+
+def test_catalog_get_is_a_plain_function():
+    # a per-layer tracer wraps only plain functions; a caching wrapper
+    # around catalog_get would hide its calls
+    assert type(catalog.catalog_get) is types.FunctionType

@@ -4,10 +4,11 @@ Everything runs in-process through ``run`` so exit codes and output are
 captured exactly. Two subprocess tests run the ``[project.scripts]`` entry
 point of ``pyproject.toml`` in a fresh interpreter, through the same small
 wrapper that pip installs as the ``wittkit`` script, and check that it
-gives the same exit code and stdout bytes as ``run``; two more do the same
-for ``python -m wittkit.cli`` against ``main``. Two more run every command
-on genus-1000 curve files, and two commands on a surface file with long
-group strings, in a fresh interpreter under a timeout.
+gives the same exit code and stdout bytes as ``run``; four more do the same
+for ``python -m wittkit.cli`` against ``main``, two of them on ``--help``.
+Two more run every command on genus-1000 curve files, and two commands on a
+surface file with long group strings, in a fresh interpreter under a
+timeout.
 """
 
 import contextlib
@@ -427,6 +428,14 @@ def test_byte_determinism():
         assert go(*argv) == go(*argv)
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("compute", "--help")])
+def test_run_returns_0_after_printing_help(argv):
+    # argparse's help action exits the interpreter; run() returns instead
+    code, out, err = go(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: wittkit")
+
+
 def test_run_reuses_one_parser(monkeypatch):
     # the parser is built once at import; run() must neither rebuild it nor
     # let one call (a batch, a usage error, a handler error) change the next
@@ -718,8 +727,12 @@ def test_console_script_assert_exit_code(tmp_path):
 @pytest.mark.parametrize("argv, code", [
     (("compare", "--space", "catalog:k3?rho=20", "--assert"), 2),
     (("compute", "--space", "catalog:p1", "--theory", "w"), 0),
+    (("--help",), 0),
+    (("compute", "--help"), 0),
 ])
 def test_python_dash_m_runs_the_command(monkeypatch, capsys, argv, code):
+    # argparse wraps the help to the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
     done = run_child("-m", "wittkit.cli", *argv)
     monkeypatch.setattr(sys, "argv", ["wittkit", *argv])
     with pytest.raises(SystemExit) as exited:

@@ -224,6 +224,14 @@ def test_report_from_json_rejects_bad_input():
         assert info.value.signal == "render-parse"
 
 
+def test_report_from_json_refuses_a_non_object():
+    for blob in ("[]", "5", '"rows"', "null", "[{}]"):
+        with pytest.raises(WittkitError) as info:
+            report_from_json(blob)
+        assert info.value.signal == "render-parse"
+        assert str(info.value) == "report must be a JSON object"
+
+
 def test_report_from_json_rejects_deep_nesting_and_long_numbers():
     good = json.loads(report_to_json(compare_w_kok(k3_surface(10))))
     good["rows"][0]["W"] = "Z/" + "3" * 5000
