@@ -7,19 +7,19 @@ or fetch one from the catalog, then ask for ``witt_table``, ``ko_table``, or
 generated group arithmetic, characteristic class rings) backs those three.
 """
 
-from . import catalog, compare, errors, groups, spaces, specseq, topko, witt
+import importlib
 
-# each public name once, under the module that defines it. The modules are
-# imported eagerly, so a tracer that wraps the functions of loaded modules
-# sees every public name.
+# each public name once, under the name of the module that defines it. A name
+# is read from its module (imported on first use, PEP 562) on every access and
+# never bound here, so a function rebound in its module by a tracer is seen.
 _EXPORTS = {
-    catalog: (
+    "catalog": (
         "CatalogEntry",
         "catalog_get",
         "catalog_instances",
         "catalog_list",
     ),
-    compare: (
+    "compare": (
         "ComparisonReport",
         "ShiftRow",
         "compare_w_kok",
@@ -27,7 +27,7 @@ _EXPORTS = {
         "report_to_json",
         "s1_vs_sq2z",
     ),
-    errors: (
+    "errors": (
         "DegreeOutOfRange",
         "InconsistentDescriptor",
         "MalformedPage",
@@ -41,7 +41,7 @@ _EXPORTS = {
         "UnsupportedTwist",
         "WittkitError",
     ),
-    groups: (
+    "groups": (
         "ExactnessReport",
         "GroupMap",
         "SymGroup",
@@ -61,7 +61,7 @@ _EXPORTS = {
         "snf",
         "two_torsion",
     ),
-    spaces: (
+    "spaces": (
         "INTEGRAL",
         "MOD2",
         "SpaceDescriptor",
@@ -76,7 +76,7 @@ _EXPORTS = {
         "picard",
         "singular_h",
     ),
-    specseq: (
+    "specseq": (
         "BigradedPage",
         "EInfinityReport",
         "ahss_k",
@@ -86,7 +86,7 @@ _EXPORTS = {
         "run_to_stable",
         "turn_page",
     ),
-    topko: (
+    "topko": (
         "KoTable",
         "Mod2Ranks",
         "QlReport",
@@ -101,7 +101,7 @@ _EXPORTS = {
         "ql_hermitian_verdict",
         "topko_json_payload",
     ),
-    witt: (
+    "witt": (
         "FHImage",
         "KaroubiReport",
         "RingContext",
@@ -125,10 +125,22 @@ _EXPORTS = {
     ),
 }
 
-for _module, _names in _EXPORTS.items():
-    globals().update((name, getattr(_module, name)) for name in _names)
-del _module, _names
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_LOADED = {}
 
 __version__ = "0.1.0"
 
-__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    module = _OWNER.get(name, name)
+    if module not in _LOADED:
+        if module not in _EXPORTS:
+            raise AttributeError("module %r has no attribute %r" % (__name__, name))
+        _LOADED[module] = importlib.import_module("." + module, __name__)
+    return _LOADED[module] if module == name else getattr(_LOADED[module], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

@@ -134,14 +134,21 @@ def report_to_json(report: ComparisonReport) -> str:
     return json.dumps(data)
 
 
-def _entry(data, key: str, typ):
+def _entry(data: dict, key: str, typ):
     # bool is an int to Python but not to JSON
-    if not isinstance(data, dict) or key not in data:
+    if key not in data:
         raise RenderParseError("report: missing key %r" % key)
     val = data[key]
     if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
         raise RenderParseError("report: %r has the wrong type" % key)
     return val
+
+
+def _row(data) -> ShiftRow:
+    if not isinstance(data, dict):
+        raise RenderParseError("report: a row must be a JSON object")
+    return ShiftRow(_entry(data, "shift", int), parse_group(_entry(data, "W", str)),
+                    parse_group(_entry(data, "KOK", str)), _entry(data, "iso", bool))
 
 
 def report_from_json(source) -> ComparisonReport:
@@ -151,11 +158,7 @@ def report_from_json(source) -> ComparisonReport:
         raise RenderParseError("report is not valid JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise RenderParseError("report must be a JSON object")
-    rows = tuple(
-        ShiftRow(_entry(r, "shift", int), parse_group(_entry(r, "W", str)),
-                 parse_group(_entry(r, "KOK", str)), _entry(r, "iso", bool))
-        for r in _entry(data, "rows", list)
-    )
+    rows = tuple(map(_row, _entry(data, "rows", list)))
     m = _entry(data, "mismatch", (dict, type(None)))
     return ComparisonReport(
         kind=_entry(data, "kind", str),

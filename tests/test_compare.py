@@ -20,7 +20,7 @@ from sample_spaces import (
     p2_surface,
     ruled_surface,
 )
-from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get
+from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get, catalog_instances
 from wittkit.compare import (
     CURVE_ALWAYS_ISO,
     SURFACE_ISO,
@@ -183,13 +183,19 @@ def test_s1_vs_sq2z():
 
 
 def test_report_json_round_trip():
-    for space in [make_curve(True, 2), k3_surface(20), enriques_surface(),
-                  make_point()]:
-        report = compare_w_kok(space)
-        blob = report_to_json(report)
-        back = report_from_json(blob)
-        assert back == report
-        assert report_to_json(back) == blob
+    spaces = [make_curve(True, 2), k3_surface(20), enriques_surface(), make_point()]
+    spaces += [catalog_get(name).descriptor for name in catalog_instances()]
+    for space in spaces:
+        for twist in ("trivial", "O(p)"):
+            try:
+                report = compare_w_kok(space, twist)
+            except (NoSuchTwist, UnsupportedTwist):
+                continue
+            blob = report_to_json(report)
+            back = report_from_json(blob)
+            assert back == report
+            assert repr(back) == repr(report)
+            assert report_to_json(back) == blob
 
 
 def test_report_from_json_rejects_bad_input():
@@ -230,6 +236,16 @@ def test_report_from_json_refuses_a_non_object():
             report_from_json(blob)
         assert info.value.signal == "render-parse"
         assert str(info.value) == "report must be a JSON object"
+
+
+def test_report_from_json_refuses_a_row_that_is_not_an_object():
+    good = json.loads(report_to_json(compare_w_kok(k3_surface(10))))
+    for row in (5, "x", [], None):
+        blob = json.dumps(dict(good, rows=[row]))
+        with pytest.raises(WittkitError) as info:
+            report_from_json(blob)
+        assert info.value.signal == "render-parse"
+        assert str(info.value) == "report: a row must be a JSON object"
 
 
 def test_report_from_json_rejects_deep_nesting_and_long_numbers():

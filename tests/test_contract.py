@@ -4,11 +4,17 @@ The error signal of each public entry point on every kind of space and
 twist class, a guard that keeps bare ``assert`` statements (stripped by
 ``python -O``) out of the package, one that keeps each module's private
 names to itself, and one that keeps the tables from branching on the kind
-label instead of the data it is read off.
+label instead of the data it is read off. The package loads each module on
+the first use of one of its names: what a fresh import loads is checked in
+a fresh interpreter, since the suite's own imports load every module first.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,3 +124,106 @@ def test_tables_compare_no_kind_label():
                 for side in [node.left, *node.comparators])
     ]
     assert found == []
+
+
+MODULES = ("catalog", "compare", "errors", "groups", "spaces", "specseq", "topko", "witt")
+
+# the public names, in the order the package has always listed them
+ALL = [
+    "BigradedPage", "CatalogEntry", "ComparisonReport", "DegreeOutOfRange",
+    "EInfinityReport", "ExactnessReport", "FHImage", "GroupMap", "INTEGRAL",
+    "InconsistentDescriptor", "KaroubiReport", "KoTable", "MOD2", "MalformedPage",
+    "Mod2Ranks", "NoSuchTwist", "QlReport", "RenderParseError", "RingContext",
+    "RingMismatch", "ShapeMismatch", "ShiftRow", "SpaceDescriptor", "SymGroup",
+    "TruncatedClass", "TruncationError", "UnknownName", "UnsupportedDivisibleMap",
+    "UnsupportedTwist", "WittTable", "WittkitError", "ahss_k", "ahss_ko", "betti",
+    "catalog_get", "catalog_instances", "catalog_list", "check_exact", "cokernel",
+    "compare_w_kok", "curve_symplectic_ring", "cyclic", "descriptor_from_json",
+    "descriptor_to_json", "direct_sum", "direct_sum_all", "divisible",
+    "elementary_two", "eta_iso_check", "etale_h", "fh_image", "free",
+    "generic_sw_ring", "gw_curve", "gw_point", "k1_two_torsion", "k_top_graded",
+    "karoubi_check", "kernel", "ko_curve", "ko_point", "ko_table", "kok",
+    "make_curve", "make_point", "make_surface", "mod2", "mod2_rank", "mod2_ranks",
+    "pardon_e2", "pardon_stable", "parse_group", "pic_surjective", "picard",
+    "projective_space_ring", "ql_hermitian_verdict", "render", "report_from_json",
+    "report_to_json", "run_to_stable", "s1_vs_sq2z", "singular_h", "snf",
+    "sw_metabolic_total", "sw_whitney_product", "topko_json_payload", "turn_page",
+    "two_torsion", "w0_graded_surface", "w_curve", "w_point", "w_surface",
+    "witt_json_payload", "witt_table",
+]
+
+
+def _fresh(code):
+    """The JSON that ``code`` prints, run in a fresh interpreter."""
+    root = str(pathlib.Path(wittkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wittkit.'))))"
+
+
+def test_import_loads_no_module():
+    assert _fresh("import wittkit\n" + LOADED) == []
+
+
+def test_a_name_loads_its_module_and_what_that_imports():
+    assert _fresh("import wittkit\nwittkit.descriptor_from_json\n" + LOADED) == [
+        "wittkit.errors", "wittkit.groups", "wittkit.spaces"]
+
+
+def test_a_module_name_resolves_without_a_submodule_import():
+    got = _fresh("import wittkit\n"
+                 "print(json.dumps([wittkit.groups.__name__, wittkit.groups.render.__module__]))")
+    assert got == ["wittkit.groups", "wittkit.groups"]
+
+
+def test_public_names_are_pinned():
+    assert wittkit.__all__ == ALL
+    assert len(ALL) == 94
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from wittkit import *", namespace)
+    assert [name for name in ALL if namespace.get(name) is not getattr(wittkit, name)] == []
+
+
+def test_dir_lists_every_public_and_module_name():
+    listed = dir(wittkit)
+    assert "__all__" in listed
+    assert set(ALL) <= set(listed)
+    assert set(MODULES) <= set(listed)
+
+
+def test_each_name_is_its_modules_object():
+    assert sorted(wittkit._EXPORTS) == list(MODULES)
+    for module, names in wittkit._EXPORTS.items():
+        owner = getattr(wittkit, module)
+        for name in names:
+            assert getattr(wittkit, name) is getattr(owner, name), name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        wittkit.no_such_name
+    assert not hasattr(wittkit, "no_such_name")
+    assert not hasattr(wittkit, "cli_main")
+
+
+def test_the_package_sees_a_rebound_function(monkeypatch):
+    # bench/spans.py rebinds the functions of the loaded modules and switches
+    # them on and off between queries; a name bound in the package on first
+    # access would freeze whichever object was live then
+    original = wittkit.witt.witt_table
+    sentinel = object()
+    monkeypatch.setattr(wittkit.witt, "witt_table", sentinel)
+    assert wittkit.witt_table is sentinel
+    assert "witt_table" not in vars(wittkit)
+    monkeypatch.undo()
+    assert wittkit.witt_table is original
+    assert "witt_table" not in vars(wittkit)
