@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mod, mul
 
 from .errors import (
@@ -374,35 +374,6 @@ def direct_sum_all(groups) -> SymGroup:
                     sum(g.divisible_rank for g in gs))
 
 
-def cancel(total: SymGroup, summand: SymGroup) -> SymGroup:
-    """The complement of ``summand`` in ``total``.
-
-    ``summand`` is built from free, prime-cyclic and divisible atoms; each
-    cancels against one matching atom of ``total`` (Z/p against a primary
-    factor of order exactly p, D(t) by rank). Anything else is a programming
-    error, raised even under ``python -O``.
-    """
-    torsion = list(total.torsion)
-    fits = (summand.free_rank <= total.free_rank
-            and summand.divisible_rank <= total.divisible_rank)
-    for p in summand.torsion:
-        # the first factor whose p-part is exactly p: the factors before it
-        # are prime to p, so dividing it by p keeps the divisibility chain
-        hit = next((k for k, d in enumerate(torsion) if d % p == 0 and d % (p * p)),
-                   None)
-        if hit is None or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            fits = False
-            break
-        torsion[hit] //= p
-        if torsion[hit] == 1:
-            del torsion[hit]
-    if not fits:
-        raise InvariantViolation(
-            "%s is not a summand of %s" % (render(summand), render(total)))
-    return SymGroup(total.free_rank - summand.free_rank, tuple(torsion),
-                    total.divisible_rank - summand.divisible_rank)
-
-
 def even_count(g: SymGroup) -> int:
     """Number of invariant factors of even order."""
     return sum(1 for d in g.torsion if d % 2 == 0)
@@ -562,17 +533,6 @@ def _in_lattice(rows, g: SymGroup, orders=None) -> bool:
 
 def zero_map(domain: SymGroup, codomain: SymGroup) -> GroupMap:
     return built_map(domain, codomain, ((0,) * domain.ngens,) * codomain.ngens)
-
-
-def identity_map(g: SymGroup) -> GroupMap:
-    return GroupMap(g, g, identity(g.ngens))
-
-
-def compose(g: GroupMap, f: GroupMap) -> GroupMap:
-    """g after f."""
-    if f.codomain != g.domain:
-        raise ShapeMismatch("compose: middle groups disagree")
-    return GroupMap(f.domain, g.codomain, mat_mul(g.matrix, f.matrix, f.domain.ngens))
 
 
 def kernel(f: GroupMap) -> SymGroup:

@@ -39,10 +39,10 @@ from .groups import (
 INTEGRAL = "integral"
 MOD2 = "mod2"
 
-# largest 2g + n of a curve: the tables build up to 2g + n invariant factors
-# and karoubi_check square matrices of that side, so a genus from a file must
-# stay near the largest size the tables are meant for (g = 1000, with room
-# for punctures)
+# largest 2g + n of a curve and largest free rank in a surface's h_int: the
+# tables build up to that many invariant factors and karoubi_check square
+# matrices of that side, so a space from a file must stay near the largest
+# size the tables are meant for (g = 1000, with room for punctures)
 MAX_CURVE_RANK = 2048
 # most summands in an h_int string of a descriptor file; parse_group is cubic in them
 MAX_GROUP_SUMMANDS = 256
@@ -153,6 +153,9 @@ def make_surface(
     if any((h.free_rank > 0) + len(h.torsion) > MAX_GROUP_SUMMANDS for h in table):
         raise InconsistentDescriptor(
             "h_int entries may have at most %d summands" % MAX_GROUP_SUMMANDS)
+    if any(h.free_rank > MAX_CURVE_RANK for h in table):
+        raise InconsistentDescriptor(
+            "h_int entries may have free rank at most %d" % MAX_CURVE_RANK)
 
     b2 = table[2].free_rank
     t3 = even_count(table[3])
@@ -301,16 +304,6 @@ def pic_columns(space: SpaceDescriptor) -> tuple:
     return tuple(range(space.rho)) + tuple(range(b2, b2 + space.nu))
 
 
-def _on_pic_columns(space: SpaceDescriptor, m) -> Matrix:
-    cols = pic_columns(space)
-    return tuple([tuple([row[j] for j in cols]) for row in m])
-
-
-def picard_image_matrix(space: SpaceDescriptor) -> Matrix:
-    """pi2 restricted to the Picard columns: Pic/2 -> H^2(Z/2)."""
-    return _on_pic_columns(space, space.pi2)
-
-
 def sq2_integral(space: SpaceDescriptor) -> Matrix:
     """Sq2 restricted to the image of H^2(Z) inside H^2(Z/2), as an F2 matrix
     on the mod-2 reduction of H^2(Z); it has no rows below dimension two. Row i
@@ -324,7 +317,8 @@ def sq2_integral(space: SpaceDescriptor) -> Matrix:
 
 def sq2z_on_pic(space: SpaceDescriptor) -> Matrix:
     """sq2 composed with pi2, restricted to the Picard columns."""
-    return _on_pic_columns(space, sq2_integral(space))
+    cols = pic_columns(space)
+    return tuple([tuple([row[j] for j in cols]) for row in sq2_integral(space)])
 
 
 def pic_surjective(space: SpaceDescriptor) -> bool:
@@ -338,14 +332,6 @@ def pic_surjective(space: SpaceDescriptor) -> bool:
 
 def _matrix_to_json(m) -> list:
     return [list(row) for row in m]
-
-
-def _matrix_from_json(data, name: str) -> tuple:
-    if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
-        raise InconsistentDescriptor("%s must be a list of rows" % name)
-    if not set(map(type, chain.from_iterable(data))) <= {int}:
-        raise InconsistentDescriptor("%s entries must be integers" % name)
-    return tuple([tuple(row) for row in data])
 
 
 def descriptor_to_json(space: SpaceDescriptor) -> str:
@@ -409,18 +395,8 @@ def descriptor_from_json(source) -> SpaceDescriptor:
             table = tuple([parse_group(s) for s in raw])
         except RenderParseError as exc:
             raise InconsistentDescriptor("h_int entry unreadable: %s" % exc)
-        s1 = data.get("s1")
-        # scalars before matrices, so a file with several faults names the same first one
-        return make_surface(
-            projective=_scalar("projective", data["projective"], bool),
-            h_int=table,
-            nu=_scalar("nu", data["nu"]),
-            rho=_scalar("rho", data["rho"]),
-            ch2_mod2_rank=_scalar("ch2_mod2_rank", data["ch2_mod2_rank"]),
-            sq2=_matrix_from_json(data["sq2"], "sq2"),
-            pi2=_matrix_from_json(data["pi2"], "pi2"),
-            s1=None if s1 is None else _matrix_from_json(s1, "s1"),
-        )
+        return make_surface(data["projective"], table, data["nu"], data["rho"],
+                            data["ch2_mod2_rank"], data["sq2"], data["pi2"], data.get("s1"))
     raise InconsistentDescriptor("kind must be point, curve, or surface, got %r" % (kind,))
 
 

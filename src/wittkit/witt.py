@@ -25,7 +25,6 @@ from .groups import (
     Z2,
     GroupMap,
     SymGroup,
-    cancel,
     check_exact,
     cokernel_map,
     composite_is_zero,
@@ -76,14 +75,10 @@ def check_twist(space: SpaceDescriptor, twist) -> str:
     return tw
 
 
-def cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
-    """``total`` minus the point summand; a twisted group has none."""
-    return total if twist == ODD_TWIST else cancel(total, point_group)
-
-
 def minus_point(total: SymGroup, point: SymGroup, twist) -> SymGroup:
-    """``cancel_point`` by count, as every reduced row is: the space's Z, Z/2 and D
-    summands minus the point's; a negative count raises even under ``python -O``."""
+    """``total`` minus the point summand ``point``, by count, as every reduced row is:
+    the space's Z, Z/2 and D summands minus the point's; a twisted group has no point
+    summand, and a negative count raises even under ``python -O``."""
     if twist == ODD_TWIST:
         return total
     counts = (total.free_rank - point.free_rank, len(total.torsion) - len(point.torsion),

@@ -1,7 +1,19 @@
-"""Hand-built descriptors shared by several test modules."""
+"""Hand-built descriptors shared by several test modules, and reference copies.
 
-from wittkit.groups import TRIVIAL, Z, SymGroup, cyclic, free
-from wittkit.spaces import make_surface
+``reference_cancel``, ``reference_cancel_point``, ``reference_on_pic_columns``
+and ``reference_picard_image_matrix`` are ``groups.cancel``,
+``witt.cancel_point``, ``spaces._on_pic_columns`` and
+``spaces.picard_image_matrix`` as they stood when the package last held them,
+copied verbatim (only renamed). No table calls them; the row tests use them as
+oracles.
+"""
+
+from math import isqrt
+
+from wittkit.errors import InvariantViolation
+from wittkit.groups import TRIVIAL, Z, Matrix, SymGroup, cyclic, free, render
+from wittkit.spaces import SpaceDescriptor, make_surface, pic_columns
+from wittkit.witt import ODD_TWIST
 
 
 def eye(n):
@@ -87,3 +99,47 @@ def abelian_like_surface():
         pi2=eye(6),
         s1=((0,),),
     )
+
+
+def reference_cancel(total: SymGroup, summand: SymGroup) -> SymGroup:
+    """The complement of ``summand`` in ``total``.
+
+    ``summand`` is built from free, prime-cyclic and divisible atoms; each
+    cancels against one matching atom of ``total`` (Z/p against a primary
+    factor of order exactly p, D(t) by rank). Anything else is a programming
+    error, raised even under ``python -O``.
+    """
+    torsion = list(total.torsion)
+    fits = (summand.free_rank <= total.free_rank
+            and summand.divisible_rank <= total.divisible_rank)
+    for p in summand.torsion:
+        # the first factor whose p-part is exactly p: the factors before it
+        # are prime to p, so dividing it by p keeps the divisibility chain
+        hit = next((k for k, d in enumerate(torsion) if d % p == 0 and d % (p * p)),
+                   None)
+        if hit is None or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            fits = False
+            break
+        torsion[hit] //= p
+        if torsion[hit] == 1:
+            del torsion[hit]
+    if not fits:
+        raise InvariantViolation(
+            "%s is not a summand of %s" % (render(summand), render(total)))
+    return SymGroup(total.free_rank - summand.free_rank, tuple(torsion),
+                    total.divisible_rank - summand.divisible_rank)
+
+
+def reference_cancel_point(total: SymGroup, point_group: SymGroup, twist) -> SymGroup:
+    """``total`` minus the point summand; a twisted group has none."""
+    return total if twist == ODD_TWIST else reference_cancel(total, point_group)
+
+
+def reference_on_pic_columns(space: SpaceDescriptor, m) -> Matrix:
+    cols = pic_columns(space)
+    return tuple([tuple([row[j] for j in cols]) for row in m])
+
+
+def reference_picard_image_matrix(space: SpaceDescriptor) -> Matrix:
+    """pi2 restricted to the Picard columns: Pic/2 -> H^2(Z/2)."""
+    return reference_on_pic_columns(space, space.pi2)

@@ -3,9 +3,10 @@ columns.
 
 ``c1_rank`` returns rho + nu, the rank of Pic/2: every constructor gives pi2
 full column rank b2 + nu, and the Picard columns are rho + nu of those
-columns. ``assert_picard_matches_references`` ranks ``picard_image_matrix``
-as the oracle on the point, curves, the catalog instances, the sample
-surfaces and the generated projective and open surfaces. Here the oracle
+columns. ``assert_picard_matches_references`` ranks
+``reference_picard_image_matrix`` as the oracle on the point, curves, the
+catalog instances, the sample surfaces and the generated projective and open
+surfaces. Here the oracle
 also runs on every catalog entry, and on surfaces whose pi2 is a random
 full-column-rank F2 matrix rather than an identity with extra rows, with
 nu > 0 and 2-torsion in H^3; on those the W rows and the Pardon page must
@@ -14,6 +15,7 @@ also equal the reference routes that rank pi2 themselves.
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sample_spaces import reference_picard_image_matrix
 from test_generated_surfaces import TORSION, _bits
 from test_picard_rows import assert_picard_matches_references
 from test_space_rows import assert_matches_references
@@ -21,7 +23,7 @@ from test_surface_rows import assert_w_matches_reference
 
 from wittkit.catalog import MAX_GENUS, MAX_K3_RHO, catalog_get
 from wittkit.groups import TRIVIAL, Z, SymGroup, even_count, f2_rank, mod2_rank
-from wittkit.spaces import c1_rank, make_surface, picard_image_matrix
+from wittkit.spaces import c1_rank, make_surface
 
 
 def test_every_catalog_entry():
@@ -33,7 +35,7 @@ def test_every_catalog_entry():
               for n in range(1, 6)]
     for name in names:
         space = catalog_get(name).descriptor
-        assert c1_rank(space) == f2_rank(picard_image_matrix(space)), name
+        assert c1_rank(space) == f2_rank(reference_picard_image_matrix(space)), name
 
 
 def _generic_pi2(draw, m2, t3):

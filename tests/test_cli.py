@@ -31,6 +31,7 @@ from wittkit.compare import compare_w_kok, report_to_json
 from wittkit.errors import InconsistentDescriptor
 from wittkit.groups import Z2, cyclic, direct_sum, elementary_two, render
 from wittkit.spaces import (
+    MAX_CURVE_RANK,
     MAX_GROUP_SUMMANDS,
     descriptor_from_json,
     descriptor_to_json,
@@ -570,6 +571,25 @@ def test_oversized_group_strings_exit_one_before_parsing(tmp_path, eliminations)
     with pytest.raises(InconsistentDescriptor, match="^nu: .* which is %d$" % MAX_GROUP_SUMMANDS):
         descriptor_from_json(json.dumps(surface_doc(at_bound)))
     assert len(eliminations) == 1
+
+
+def test_oversized_free_ranks_exit_one_before_a_table(tmp_path):
+    # H^1 = H^3 = Z^N needs no matrix, so only the free-rank bound keeps
+    # compute --theory witt from printing (Z/2)^N or running out of memory
+    for rank in (10 ** 6, 10 ** 7):
+        path = tmp_path / ("z%d.json" % rank)
+        h1 = "Z^%d" % rank
+        path.write_text(json.dumps({"kind": "surface", "projective": True,
+                                    "h_int": ["Z", h1, "Z", h1, "Z"], "nu": 0, "rho": 1,
+                                    "ch2_mod2_rank": 1, "sq2": [[1]], "pi2": [[1]]}))
+        for argv in (("compute", "--space", str(path), "--theory", "witt"),
+                     ("compare", "--space", str(path))):
+            start = time.perf_counter()
+            code, out, err = go(*argv)
+            assert time.perf_counter() - start < 0.5, argv
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error [inconsistent-descriptor]: "), err
+            assert "free rank at most %d" % MAX_CURVE_RANK in err
 
 
 # Curves at the MAX_CURVE_RANK edge: 2g + n = 2000 and 2048

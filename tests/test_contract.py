@@ -3,8 +3,9 @@
 The error signal of each public entry point on every kind of space and
 twist class, a guard that keeps bare ``assert`` statements (stripped by
 ``python -O``) out of the package, one that keeps each module's private
-names to itself, and one that keeps the tables from branching on the kind
-label instead of the data it is read off. The package loads each module on
+names to itself, one that keeps the tables from branching on the kind
+label instead of the data it is read off, and one that keeps out of the
+package what only the tests reach. The package loads each module on
 the first use of one of its names: what a fresh import loads is checked in
 a fresh interpreter, since the suite's own imports load every module first.
 """
@@ -124,6 +125,52 @@ def test_tables_compare_no_kind_label():
                 for side in [node.left, *node.comparators])
     ]
     assert found == []
+
+
+# top-level definitions that nothing in src/, bench/ or __all__ reaches, kept
+# on purpose
+UNREACHED = {
+    "k0_alg": "deleting it deletes its own test",
+    "dump_page": "ROADMAP item 5(a) gives it a caller",
+    "gw_curve_reduced": "the acceptance gate imports it",
+    "ko_curve_reduced": "the acceptance gate imports it",
+    "__getattr__": "the PEP 562 hook that loads a module on first use",
+    "__dir__": "the PEP 562 hook that lists the lazily loaded names",
+}
+
+
+def _mentions(tree, strings=False):
+    """Every name that ``tree`` mentions: names, attributes, import aliases
+    and, with ``strings``, string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_reached_from_outside_the_tests():
+    # a top-level function or class must be named by some other top-level
+    # statement of the package, by a bench/ file (bench/spans.py wraps
+    # functions by name, hence its strings) or by __all__; otherwise only the
+    # tests reach it, and it belongs beside their reference copies
+    package = pathlib.Path(wittkit.__file__).resolve().parent
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    defined, reached = {}, set(wittkit.__all__)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[own] = path.name
+            reached.update(name for name in _mentions(stmt) if name != own)
+    for path in sorted(bench.glob("*.py")):
+        reached.update(_mentions(ast.parse(path.read_text(encoding="utf-8")), strings=True))
+    unreached = {name: module for name, module in defined.items() if name not in reached}
+    assert sorted(unreached) == sorted(UNREACHED), sorted(set(unreached) ^ set(UNREACHED))
 
 
 MODULES = ("catalog", "compare", "errors", "groups", "spaces", "specseq", "topko", "witt")

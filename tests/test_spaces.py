@@ -5,11 +5,13 @@ oracle (one-vertex CW models: wedge of circles, closed orientable surface).
 """
 
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,6 @@ from wittkit.spaces import (
     make_surface,
     pic_columns,
     picard,
-    picard_image_matrix,
     require_kind,
     singular_h,
     sq2z_on_pic,
@@ -363,7 +364,7 @@ def test_picard():
 def test_pic_embedding():
     enr = enriques_surface()
     assert pic_columns(enr) == tuple(range(10)) + (10,)
-    m = picard_image_matrix(enr)
+    m = sample_spaces.reference_picard_image_matrix(enr)
     assert len(m) == 12 and len(m[0]) == 11
     assert f2_rank(m) == 11
 
@@ -520,8 +521,9 @@ def test_constructors_take_the_loaders_scalar_and_matrix_types():
 # sequences of integer rows. Whatever a constructor accepts, the loader must
 # read back from its JSON; whatever it refuses, it refuses with the
 # descriptor error.
-WRONG = st.sampled_from((None, True, False, 0, 1, 2, -1, 1.0, 0.5, "1", "yes", 5, (1,),
-                         [], ((1,),), [[1]], ((True,),), [[1.0]], ((1, 0), "ab")))
+WRONG_VALUES = (None, True, False, 0, 1, 2, -1, 1.0, 0.5, "1", "yes", 5, (1,),
+                [], ((1,),), [[1]], ((True,),), [[1.0]], ((1, 0), "ab"))
+WRONG = st.sampled_from(WRONG_VALUES)
 SURFACE_FIELDS = ("projective", "h_int", "nu", "rho", "ch2_mod2_rank", "sq2", "pi2", "s1")
 
 
@@ -549,6 +551,69 @@ def test_accepted_surfaces_round_trip(name, data):
     for key in data.draw(st.lists(st.sampled_from(SURFACE_FIELDS), max_size=3, unique=True)):
         args[key] = data.draw(WRONG)
     accepted_round_trips(make_surface, **args)
+
+
+# Documents with two faults: a loader that checks every scalar, then each
+# matrix as a JSON list, before it calls make_surface names a fault that the
+# constructor would name later, or names it in other words.
+MULTI_FAULT_SURFACES = (
+    dict(h_int=["Z^2", "0", "Z", "0", "Z"], sq2=[[1.5]]),
+    dict(sq2=[[None]], pi2="x"),
+    dict(pi2=[1]),
+)
+
+
+def loaded_and_built(doc):
+    """What ``descriptor_from_json`` gives on ``doc``, and what ``make_surface``
+    gives on its parsed h_int and its other fields: a space or the refusal."""
+    def outcome(call):
+        try:
+            return call()
+        except InconsistentDescriptor as exc:
+            return (exc.signal, str(exc))
+
+    table = tuple([parse_group(s) for s in doc["h_int"]])
+    fields = [doc[key] for key in ("projective", "nu", "rho", "ch2_mod2_rank", "sq2", "pi2")]
+    return (outcome(lambda: descriptor_from_json(doc)),
+            outcome(lambda: make_surface(fields[0], table, *fields[1:], doc.get("s1"))))
+
+
+def test_the_loader_names_the_constructors_first_fault():
+    for changes in MULTI_FAULT_SURFACES:
+        loaded, built = loaded_and_built(_p2_doc(**changes))
+        assert isinstance(built, tuple) and loaded == built, changes
+    # a wrong value in one field or two, as a file would carry it; no wrong
+    # value is a list of five group strings, so for h_int only the loader's
+    # own refusal can be checked
+    base, values = _p2_doc(), [json.loads(json.dumps(v)) for v in WRONG_VALUES]
+    for first, second in itertools.combinations_with_replacement(SURFACE_FIELDS, 2):
+        for a, b in itertools.product(values, repeat=2):
+            doc = dict(base, **{first: a})
+            doc[second] = b
+            if "h_int" in (first, second):
+                with pytest.raises(InconsistentDescriptor, match="^h_int must list"):
+                    descriptor_from_json(doc)
+            else:
+                loaded, built = loaded_and_built(doc)
+                assert loaded == built, (first, a, second, b)
+
+
+def test_free_ranks_past_the_bound_are_refused_at_once():
+    # H^1 and H^3 need no matrix, so a file could name Z^N for any N
+    for rank in (10 ** 6, 10 ** 7, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(InconsistentDescriptor, match="free rank at most %d$" % MAX_CURVE_RANK):
+            make_surface(True, (Z, free(rank), Z, free(rank), Z), 0, 1, 1, ((1,),), ((1,),))
+        with pytest.raises(InconsistentDescriptor, match="free rank at most %d$" % MAX_CURVE_RANK):
+            descriptor_from_json(_p2_doc(h_int=["Z", "Z^%d" % rank, "Z", "Z^%d" % rank, "Z"]))
+        assert time.perf_counter() - start < 0.5, rank
+    for h2 in (free(MAX_CURVE_RANK + 1), SymGroup(MAX_CURVE_RANK + 1, (2,), 0)):
+        with pytest.raises(InconsistentDescriptor, match="free rank at most"):
+            make_surface(False, (Z, TRIVIAL, h2, TRIVIAL, TRIVIAL), 0, 0, 0, (), ())
+    # at the bound the space loads
+    at_bound = make_surface(True, (Z, free(MAX_CURVE_RANK), Z, free(MAX_CURVE_RANK), Z),
+                            0, 1, 1, ((1,),), ((1,),))
+    assert descriptor_from_json(descriptor_to_json(at_bound)) == at_bound
 
 
 def test_projective_duality_covers_odd_torsion():

@@ -25,6 +25,8 @@ from sample_spaces import (
     enriques_surface,
     k3_surface,
     p2_surface,
+    reference_cancel_point,
+    reference_picard_image_matrix,
     ruled_surface,
 )
 
@@ -47,14 +49,12 @@ from wittkit.spaces import (
     SpaceDescriptor,
     betti,
     etale_h,
-    picard_image_matrix,
     require_kind,
 )
 from wittkit.specseq import ahss_k, ahss_ko, pardon_stable
 from wittkit.topko import ko_table
 from wittkit.witt import (
     TRIVIAL_TWIST,
-    cancel_point,
     w,
     w_point,
     w_reduced,
@@ -67,7 +67,7 @@ def reference_w0_graded_surface(space: SpaceDescriptor):
     """Graded pieces (rank, w1-bar, w2-bar) of W^0."""
     require_kind(space, "surface")
     h2 = etale_h(space, 2)
-    pic_rank = f2_rank(picard_image_matrix(space))
+    pic_rank = f2_rank(reference_picard_image_matrix(space))
     return (Z2, etale_h(space, 1), elementary_two(mod2_rank(h2) - pic_rank))
 
 
@@ -122,7 +122,7 @@ def assert_w_matches_reference(space):
     engine against the references, at shifts 0..7 and degrees -12..7."""
     for i in range(8):
         want = outcome(lambda: reference_w_surface(space, i))
-        want_red = outcome(lambda: cancel_point(reference_w_surface(space, i),
+        want_red = outcome(lambda: reference_cancel_point(reference_w_surface(space, i),
                                                 w_point(i), TRIVIAL_TWIST))
         where = (str(space), i)
         assert outcome(lambda: w_surface(space, i)) == want, where
