@@ -14,7 +14,7 @@ import json
 import sys
 
 from .catalog import canonical_int, catalog_get, catalog_instances, catalog_list
-from .compare import SURFACE_MISMATCH, compare_w_kok, report_to_json
+from .compare import SURFACE_MISMATCH, compare_w_kok, report_payload
 from .errors import InconsistentDescriptor, WittkitError
 from .groups import render
 from .spaces import MAX_CURVE_RANK, descriptor_from_json, descriptor_to_json
@@ -72,9 +72,9 @@ def _space_pairs(args):
     return [_load_space(args.space)]
 
 
-def _emit(payload, batch_name=None):
+def _emit(payload, batch_name=None, key="result"):
     if batch_name is not None:
-        payload = {"space": batch_name, "result": payload}
+        payload = {"space": batch_name, key: payload}
     print(json.dumps(payload))
 
 
@@ -165,11 +165,7 @@ def _cmd_compare(args) -> int:
             if report.mismatch is not None:
                 print("mismatch: shift %d, ranks %d vs %d" % report.mismatch)
         else:
-            blob = report_to_json(report)
-            if getattr(args, "all", False):
-                print(json.dumps({"space": name, "report": json.loads(blob)}))
-            else:
-                print(blob)
+            _emit(report_payload(report), name if getattr(args, "all", False) else None, "report")
         if args.assert_flag and report.verdict == SURFACE_MISMATCH:
             code = 2
     return code

@@ -4,7 +4,9 @@ The comparison runs through the Picard map. With rho = b2, a Picard group
 onto H^2(Z), every shift agrees on every space, so curves always agree; a
 Picard rank defect shows at shift 0, where it is measured. Both directions
 are checked. The maps are not modeled; "iso" means canonical-form equality
-of the two independently computed groups.
+of the two independently computed groups. Both are F2-vector spaces (W is a
+W(C) = Z/2-module, KO^{2i}/K has exponent two), so ``report_from_json`` reads
+each column as a count of Z/2 and refuses any other column.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, RenderParseError
-from .groups import SymGroup, f2_rank, mod2_rank, parse_group, render
+from .groups import SymGroup, elementary_two, f2_rank, mod2_rank, parse_summands, render
 from .spaces import (
     SpaceDescriptor,
     pic_surjective,
@@ -27,6 +29,7 @@ from .witt import TRIVIAL_TWIST, check_twist, minus_point, w_point, w_row
 CURVE_ALWAYS_ISO = "curve-always-iso"
 SURFACE_ISO = "surface-iso"
 SURFACE_MISMATCH = "surface-mismatch"
+_MISMATCH_KEYS = ("shift", "w_rank", "kok_rank")
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,9 @@ def s1_vs_sq2z(space: SpaceDescriptor) -> bool:
 # serialization
 
 
-def report_to_json(report: ComparisonReport) -> str:
-    data = {
+def report_payload(report: ComparisonReport) -> dict:
+    """The JSON object of a report; each W and KOK column renders a sum of Z/2."""
+    return {
         "kind": report.kind,
         "twist": report.twist,
         "pic_surjective": report.pic_surjective,
@@ -125,13 +129,12 @@ def report_to_json(report: ComparisonReport) -> str:
             for r in report.rows
         ],
         "verdict": report.verdict,
-        "mismatch": None if report.mismatch is None else {
-            "shift": report.mismatch[0],
-            "w_rank": report.mismatch[1],
-            "kok_rank": report.mismatch[2],
-        },
+        "mismatch": None if report.mismatch is None else dict(zip(_MISMATCH_KEYS, report.mismatch)),
     }
-    return json.dumps(data)
+
+
+def report_to_json(report: ComparisonReport) -> str:
+    return json.dumps(report_payload(report))
 
 
 def _entry(data: dict, key: str, typ):
@@ -144,14 +147,24 @@ def _entry(data: dict, key: str, typ):
     return val
 
 
+def _f2_column(data: dict, key: str) -> SymGroup:
+    free_rank, factors, div = parse_summands(_entry(data, key, str))
+    if free_rank or div or factors.count(2) != len(factors):
+        raise RenderParseError("report: %s column %r is not a sum of Z/2" % (key, data[key]))
+    return elementary_two(len(factors))
+
+
 def _row(data) -> ShiftRow:
     if not isinstance(data, dict):
         raise RenderParseError("report: a row must be a JSON object")
-    return ShiftRow(_entry(data, "shift", int), parse_group(_entry(data, "W", str)),
-                    parse_group(_entry(data, "KOK", str)), _entry(data, "iso", bool))
+    return ShiftRow(_entry(data, "shift", int), _f2_column(data, "W"),
+                    _f2_column(data, "KOK"), _entry(data, "iso", bool))
 
 
 def report_from_json(source) -> ComparisonReport:
+    """Read a report in linear time, each column as a count of Z/2 (no elimination).
+    ``render-parse`` refuses any other column, a report without four rows, a row
+    i whose shift is not i and a row whose iso is not W == KOK."""
     try:
         data = json.loads(source)
     except (RecursionError, TypeError, ValueError) as exc:
@@ -159,6 +172,13 @@ def report_from_json(source) -> ComparisonReport:
     if not isinstance(data, dict):
         raise RenderParseError("report must be a JSON object")
     rows = tuple(map(_row, _entry(data, "rows", list)))
+    if len(rows) != 4:
+        raise RenderParseError("report: %d rows, not 4" % len(rows))
+    for i, row in enumerate(rows):
+        if row.shift != i:
+            raise RenderParseError("report: row %d has shift %d" % (i, row.shift))
+        if row.iso != (row.w == row.kok):
+            raise RenderParseError("report: row %d's iso is not W == KOK" % i)
     m = _entry(data, "mismatch", (dict, type(None)))
     return ComparisonReport(
         kind=_entry(data, "kind", str),
@@ -166,6 +186,5 @@ def report_from_json(source) -> ComparisonReport:
         pic_surjective=_entry(data, "pic_surjective", bool),
         rows=rows,
         verdict=_entry(data, "verdict", str),
-        mismatch=None if m is None else tuple(
-            _entry(m, key, int) for key in ("shift", "w_rank", "kok_rank")),
+        mismatch=None if m is None else tuple(_entry(m, key, int) for key in _MISMATCH_KEYS),
     )

@@ -435,14 +435,12 @@ _TOK_CYCLIC = re.compile(r"\AZ/([1-9][0-9]*)\Z")
 _TOK_DIV = re.compile(r"\AD\(([1-9][0-9]*)\)\Z")
 
 
-def parse_group(text: str) -> SymGroup:
-    """Parse the rendering grammar; summands may come in any order."""
+def parse_summands(text: str) -> tuple:
+    """(free rank, cyclic orders, divisible rank) of a rendering, in any order."""
     s = text.strip()
+    free_rank, factors, div = 0, [], 0
     if s == "0":
-        return TRIVIAL
-    free_rank = 0
-    factors = []
-    div = 0
+        return free_rank, factors, div
     for tok in s.split(" + "):
         m = _TOK_FREE.match(tok) or _TOK_CYCLIC.match(tok) or _TOK_DIV.match(tok)
         if not m:
@@ -459,6 +457,12 @@ def parse_group(text: str) -> SymGroup:
             raise RenderParseError("cyclic order must be >= 2 in %r" % tok)
         else:
             factors.append(n)
+    return free_rank, factors, div
+
+
+def parse_group(text: str) -> SymGroup:
+    """Parse the rendering grammar; summands may come in any order."""
+    free_rank, factors, div = parse_summands(text)
     return SymGroup(free_rank, _chain(factors), div)
 
 

@@ -7,8 +7,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wittkit
 
@@ -38,8 +40,8 @@ from wittkit.errors import (
     UnsupportedTwist,
     WittkitError,
 )
-from wittkit.groups import Z2, elementary_two, f2_rank
-from wittkit.spaces import betti, make_curve, make_point
+from wittkit.groups import Z2, elementary_two, f2_rank, is_elementary_two, parse_group
+from wittkit.spaces import MAX_CURVE_RANK, betti, make_curve, make_point
 from wittkit.witt import w_curve
 
 ISO_SURFACES = [
@@ -263,6 +265,115 @@ def test_report_json_twisted_round_trip():
     assert isinstance(report_from_json(blob), ComparisonReport)
     assert report_from_json(blob) == report
     assert '"twist": "O(p)"' in blob
+
+
+COLUMN_TOKENS = st.lists(st.sampled_from(["Z/2", "Z/3", "Z/4", "Z", "Z^2", "D(1)"]),
+                         max_size=12)
+
+
+def _with_column(text):
+    """A valid report with ``text`` as both columns of shift 0."""
+    doc = json.loads(report_to_json(compare_w_kok(make_curve(True, 2))))
+    doc["rows"][0].update(W=text, KOK=text, iso=True)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=COLUMN_TOKENS)
+def test_report_columns_are_read_as_f2_counts(tokens):
+    # accepted exactly when the column is an F2-vector space, and then read
+    # as the group parse_group gives
+    text = " + ".join(tokens) or "0"
+    want = parse_group(text)
+    try:
+        back = report_from_json(_with_column(text))
+    except WittkitError as exc:
+        assert exc.signal == "render-parse"
+        assert not is_elementary_two(want)
+        return
+    assert is_elementary_two(want)
+    assert back.rows[0].w == back.rows[0].kok == want
+    assert repr(back.rows[0].w) == repr(want)
+
+
+@pytest.mark.parametrize("text", ["Z", "Z/4", "Z/2 + Z/3", "D(1)", "Z^2"])
+def test_report_columns_that_are_not_sums_of_z2_are_refused(text):
+    for key in ("W", "KOK"):
+        doc = json.loads(_with_column("Z/2"))
+        doc["rows"][0][key] = text
+        with pytest.raises(WittkitError) as info:
+            report_from_json(json.dumps(doc))
+        assert info.value.signal == "render-parse"
+        assert str(info.value) == "report: %s column %r is not a sum of Z/2" % (key, text)
+
+
+def test_report_from_json_runs_no_elimination(eliminations):
+    read = 0
+    for name in catalog_instances():
+        for twist in ("trivial", "O(p)"):
+            try:
+                report = compare_w_kok(catalog_get(name).descriptor, twist)
+            except (NoSuchTwist, UnsupportedTwist):
+                continue
+            blob = report_to_json(report)
+            eliminations.clear()
+            assert report_from_json(blob) == report
+            assert eliminations == [], (name, twist)
+            read += 1
+    assert read > len(catalog_instances())
+
+
+def test_large_genus_reports_round_trip_in_linear_time():
+    # g = 1024 is MAX_CURVE_RANK / 2: W^0 carries 2,049 summands
+    start = time.perf_counter()
+    for g in (200, 400, MAX_CURVE_RANK // 2):
+        report = compare_w_kok(make_curve(True, g))
+        back = report_from_json(report_to_json(report))
+        assert back == report
+        assert repr(back) == repr(report)
+    assert len(back.rows[0].w.torsion) == 2049
+    assert time.perf_counter() - start < 0.5
+
+
+def _edited_report(change):
+    doc = json.loads(report_to_json(compare_w_kok(k3_surface(10))))
+    change(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["rows"].pop(), "report: 3 rows, not 4"),
+    (lambda d: d["rows"].append(dict(d["rows"][3], shift=4)), "report: 5 rows, not 4"),
+    (lambda d: d.update(rows=[]), "report: 0 rows, not 4"),
+], ids=["three", "five", "none"])
+def test_report_from_json_refuses_other_than_four_rows(change, message):
+    with pytest.raises(WittkitError) as info:
+        report_from_json(_edited_report(change))
+    assert info.value.signal == "render-parse"
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["rows"][2].update(shift=3), "report: row 2 has shift 3"),
+    (lambda d: d["rows"].reverse(), "report: row 0 has shift 3"),
+], ids=["edited", "reversed"])
+def test_report_from_json_refuses_a_row_out_of_place(change, message):
+    with pytest.raises(WittkitError) as info:
+        report_from_json(_edited_report(change))
+    assert info.value.signal == "render-parse"
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_report_from_json_refuses_an_iso_that_is_not_column_equality(at):
+    # row 0 of K3 rho=10 differs (iso false), row 3 agrees (iso true)
+    def flip(doc):
+        doc["rows"][at]["iso"] = not doc["rows"][at]["iso"]
+
+    with pytest.raises(WittkitError) as info:
+        report_from_json(_edited_report(flip))
+    assert info.value.signal == "render-parse"
+    assert str(info.value) == "report: row %d's iso is not W == KOK" % at
 
 
 def test_cross_checks_raise_under_python_O():
