@@ -65,17 +65,28 @@ def _load_space(source: str):
     return source, descriptor_from_json(text)
 
 
-def _space_pairs(args):
-    if getattr(args, "all", False):
-        return [(name, catalog_get(name).descriptor)
-                for name in catalog_instances()]
-    return [_load_space(args.space)]
+def _row(label, value) -> str:
+    return "%-8s%s" % (label, value if value is not None else "-")
 
 
-def _emit(payload, batch_name=None, key="result"):
-    if batch_name is not None:
-        payload = {"space": batch_name, key: payload}
-    print(json.dumps(payload))
+def _emit(args, payload, rows, key="result", ready=lambda space: space) -> list:
+    """Print and return each space's payload, as JSON (under ``key`` in a batch) or as table
+    ``rows``; a batch table's ``[name]`` header comes after ``ready`` and before ``payload``."""
+    batch = getattr(args, "all", False)
+    pairs = ([(name, catalog_get(name).descriptor) for name in catalog_instances()]
+             if batch else [_load_space(args.space)])
+    done = []
+    for name, space in pairs:
+        item = ready(space)
+        if batch and args.format == "table":
+            print("[%s]" % name)
+        done.append(payload(item))
+        if args.format == "table":
+            for row in rows(done[-1]):
+                print(row)
+        else:
+            print(json.dumps({"space": name, key: done[-1]} if batch else done[-1]))
+    return done
 
 
 # the payload row of each one-row theory; KOK and K0_gr sit in even degrees
@@ -84,8 +95,7 @@ _ROW_KEYS = {"gw": "GW", "w": "W", "kok": "KOK", "k": "K0_gr"}
 
 def _table_rows(label: str, values) -> list:
     stride = 2 if label in ("KOK", "K0_gr") else 1
-    return ["%-8s%s" % ("%s^%d" % (label, i * stride), v if v is not None else "-")
-            for i, v in enumerate(values)]
+    return [_row("%s^%d" % (label, i * stride), v) for i, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +128,23 @@ def _compute_payload(space, args):
     return row
 
 
-def _compute_table(space, args) -> list:
-    payload = _compute_payload(space, args)
+def _compute_rows(payload, theory) -> list:
     if isinstance(payload, str) or payload is None:
         return [payload if payload is not None else "-"]
     if isinstance(payload, list):
-        return _table_rows(_ROW_KEYS[args.theory], payload)
+        return _table_rows(_ROW_KEYS[theory], payload)
     rows = []
     for key, values in payload.items():
         if isinstance(values, list):
             rows.extend(_table_rows(key, values))
         else:
-            rows.append("%-8s%s" % (key, json.dumps(values)))
+            rows.append(_row(key, json.dumps(values)))
     return rows
 
 
 def _cmd_compute(args) -> int:
-    for name, space in _space_pairs(args):
-        if args.format == "table":
-            if getattr(args, "all", False):
-                print("[%s]" % name)
-            for row in _compute_table(space, args):
-                print(row)
-        else:
-            _emit(_compute_payload(space, args),
-                  name if getattr(args, "all", False) else None)
+    _emit(args, lambda space: _compute_payload(space, args),
+          lambda payload: _compute_rows(payload, args.theory))
     return 0
 
 
@@ -150,61 +152,51 @@ def _cmd_compute(args) -> int:
 # compare
 
 
+def _compare_rows(payload) -> list:
+    rows = ["shift %d  W=%-24s KOK=%-24s %s"
+            % (row["shift"], row["W"], row["KOK"], "iso" if row["iso"] else "MISMATCH")
+            for row in payload["rows"]]
+    rows.append("verdict: %s" % payload["verdict"])
+    if payload["mismatch"] is not None:
+        rows.append("mismatch: shift %d, ranks %d vs %d" % tuple(payload["mismatch"].values()))
+    return rows
+
+
 def _cmd_compare(args) -> int:
-    code = 0
-    for name, space in _space_pairs(args):
-        report = compare_w_kok(space, args.twist)
-        if args.format == "table":
-            if getattr(args, "all", False):
-                print("[%s]" % name)
-            for row in report.rows:
-                print("shift %d  W=%-24s KOK=%-24s %s"
-                      % (row.shift, render(row.w), render(row.kok),
-                         "iso" if row.iso else "MISMATCH"))
-            print("verdict: %s" % report.verdict)
-            if report.mismatch is not None:
-                print("mismatch: shift %d, ranks %d vs %d" % report.mismatch)
-        else:
-            _emit(report_payload(report), name if getattr(args, "all", False) else None, "report")
-        if args.assert_flag and report.verdict == SURFACE_MISMATCH:
-            code = 2
-    return code
+    verdicts = {r["verdict"] for r in _emit(args, report_payload, _compare_rows, "report",
+                                            lambda space: compare_w_kok(space, args.twist))}
+    return 2 if args.assert_flag and SURFACE_MISMATCH in verdicts else 0
 
 
 # ---------------------------------------------------------------------------
 # specseq
 
 
-def _cmd_specseq(args) -> int:
-    _, space = _load_space(args.space)
-    if args.engine == "pardon":
+def _specseq_payload(space, engine) -> dict:
+    if engine == "pardon":
         rep = pardon_stable(space)
-        columns = [rep.resolved_group(i) for i in range(4)]
-        payload = {
-            "engine": "pardon",
-            "columns": [render(g) if g is not None else None for g in columns],
-        }
-    else:
-        rep = ahss_ko(space) if args.engine == "ko" else ahss_k(space)
-        payload = {
-            "engine": "ahss-%s" % args.engine,
-            "degrees": {
-                str(d): [render(g) for g in rep.pieces(d)]
-                for d in sorted(rep.degrees)
-            },
-            "unknown": sorted(rep.unknown_degrees),
-        }
-    if args.format == "table":
-        if args.engine == "pardon":
-            for i, text in enumerate(payload["columns"]):
-                print("W^%d     %s" % (i, text if text is not None else "-"))
-        else:
-            for key in payload["degrees"]:
-                print("%-8s%s" % (key, " + ".join(payload["degrees"][key]) or "0"))
-            if payload["unknown"]:
-                print("unknown %s" % payload["unknown"])
-    else:
-        print(json.dumps(payload))
+        return {"engine": "pardon",
+                "columns": [render(g) if g is not None else None
+                            for g in map(rep.resolved_group, range(4))]}
+    rep = ahss_ko(space) if engine == "ko" else ahss_k(space)
+    return {
+        "engine": "ahss-%s" % engine,
+        "degrees": {str(d): [render(g) for g in rep.pieces(d)] for d in sorted(rep.degrees)},
+        "unknown": sorted(rep.unknown_degrees),
+    }
+
+
+def _specseq_rows(payload) -> list:
+    if payload["engine"] == "pardon":
+        return [_row("W^%d" % i, text) for i, text in enumerate(payload["columns"])]
+    rows = [_row(key, " + ".join(pieces) or "0") for key, pieces in payload["degrees"].items()]
+    if payload["unknown"]:
+        rows.append(_row("unknown", payload["unknown"]))
+    return rows
+
+
+def _cmd_specseq(args) -> int:
+    _emit(args, lambda space: _specseq_payload(space, args.engine), _specseq_rows)
     return 0
 
 
@@ -252,7 +244,7 @@ def _cmd_sw(args) -> int:
     rendered = [ring_render(ring, c) for c in total.coefficients]
     if args.format == "table":
         for d, text in enumerate(rendered):
-            print("t^%-6d%s" % (d, text))
+            print(_row("t^%d" % d, text))
     else:
         print(json.dumps({"ring": ring.name, "total": rendered}))
     return 0

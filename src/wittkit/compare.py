@@ -24,12 +24,13 @@ from .spaces import (
     sq2z_on_pic,
 )
 from .topko import KOK_POINT, kok_row
-from .witt import TRIVIAL_TWIST, check_twist, minus_point, w_point, w_row
+from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, w_point, w_row
 
 CURVE_ALWAYS_ISO = "curve-always-iso"
 SURFACE_ISO = "surface-iso"
 SURFACE_MISMATCH = "surface-mismatch"
 _MISMATCH_KEYS = ("shift", "w_rank", "kok_rank")
+_DIMS = {"point": 0, "curve": 1, "surface": 2}  # a report's kind and its dimension
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,25 @@ class ComparisonReport:
     mismatch: tuple | None
 
 
-def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonReport:
-    tw = check_twist(space, twist)
-    rows = tuple([ShiftRow(i, w_grp, k_grp, w_grp == k_grp) for i, (w_grp, k_grp)
-                  in enumerate(zip(w_row(space, tw), kok_row(space, tw)))])
+def _verdict(rows, tw: str, dim: int) -> tuple:
+    """(verdict, mismatch) that a report's rows give under twist ``tw`` in dimension ``dim``."""
     bad, mismatch = next((row for row in rows if not row.iso), None), None
     if bad is not None:
         w_grp, k_grp = bad.w, bad.kok
         if bad.shift == 0:  # the reduced groups, read off the rows
             w_grp, k_grp = minus_point(w_grp, w_point(0), tw), minus_point(k_grp, KOK_POINT[0], tw)
         mismatch = (bad.shift, mod2_rank(w_grp), mod2_rank(k_grp))
+    if dim < 2:
+        return CURVE_ALWAYS_ISO, mismatch
+    return (SURFACE_ISO if mismatch is None else SURFACE_MISMATCH), mismatch
+
+
+def compare_w_kok(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> ComparisonReport:
+    tw = check_twist(space, twist)
+    rows = tuple([ShiftRow(i, w_grp, k_grp, w_grp == k_grp) for i, (w_grp, k_grp)
+                  in enumerate(zip(w_row(space, tw), kok_row(space, tw)))])
+    verdict, mismatch = _verdict(rows, tw, space.dim)
     onto = pic_surjective(space)
-    if space.dim < 2:
-        verdict = CURVE_ALWAYS_ISO
-    elif mismatch is None:
-        verdict = SURFACE_ISO
-    else:
-        verdict = SURFACE_MISMATCH
     if not onto:
         # necessity direction: a Picard rank defect must surface at shift 0
         if not (mismatch is not None and mismatch[0] == 0):
@@ -150,7 +153,7 @@ def _entry(data: dict, key: str, typ):
 def _f2_column(data: dict, key: str) -> SymGroup:
     free_rank, factors, div = parse_summands(_entry(data, key, str))
     if free_rank or div or factors.count(2) != len(factors):
-        raise RenderParseError("report: %s column %r is not a sum of Z/2" % (key, data[key]))
+        raise RenderParseError("report: %s column %r is not a sum of Z/2" % (key, data[key][:64]))
     return elementary_two(len(factors))
 
 
@@ -164,7 +167,8 @@ def _row(data) -> ShiftRow:
 def report_from_json(source) -> ComparisonReport:
     """Read a report in linear time, each column as a count of Z/2 (no elimination).
     ``render-parse`` refuses any other column, a report without four rows, a row
-    i whose shift is not i and a row whose iso is not W == KOK."""
+    i whose shift is not i, a row whose iso is not W == KOK, an unknown kind or
+    twist, and a verdict, mismatch or pic_surjective that the rows do not give."""
     try:
         data = json.loads(source)
     except (RecursionError, TypeError, ValueError) as exc:
@@ -180,7 +184,7 @@ def report_from_json(source) -> ComparisonReport:
         if row.iso != (row.w == row.kok):
             raise RenderParseError("report: row %d's iso is not W == KOK" % i)
     m = _entry(data, "mismatch", (dict, type(None)))
-    return ComparisonReport(
+    report = ComparisonReport(
         kind=_entry(data, "kind", str),
         twist=_entry(data, "twist", str),
         pic_surjective=_entry(data, "pic_surjective", bool),
@@ -188,3 +192,13 @@ def report_from_json(source) -> ComparisonReport:
         verdict=_entry(data, "verdict", str),
         mismatch=None if m is None else tuple(_entry(m, key, int) for key in _MISMATCH_KEYS),
     )
+    dim = _DIMS.get(report.kind)
+    if dim is None or report.twist not in (TRIVIAL_TWIST, ODD_TWIST):
+        raise RenderParseError("report: a kind or twist that no report has")
+    try:
+        verdict, mismatch = _verdict(rows, report.twist, dim)
+    except InvariantViolation:  # a point summand missing from shift 0
+        raise RenderParseError("report: shift 0 lacks the point's Z/2") from None
+    if (report.verdict, report.mismatch, report.pic_surjective) != (verdict, mismatch, not mismatch):
+        raise RenderParseError("report: verdict, mismatch or pic_surjective differs from the rows")
+    return report

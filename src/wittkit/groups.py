@@ -8,7 +8,8 @@ runs one ``snf_diagonal`` of the diagonal presentation, none for fewer than
 two orders. A ``GroupMap`` is an integer matrix on the canonical generators
 of two finitely generated groups; it refuses a divisible summand on either
 side, so divisible parts are tracked beside the maps. Kernels, cokernels
-and homology come from Smith normal form; all three are ``homology_at``,
+and homology come from Smith normal form, whose one working matrix carries
+U to its right and V below it; all three are ``homology_at``,
 with ``None`` for the missing map. Between elementary 2-groups it reads F2
 ranks, a free middle group with nothing divided out and a finite target is
 its own cycle group, and a middle group Z is read off two integers; none of
@@ -84,54 +85,42 @@ def mat_mul(a, b, b_cols: int | None = None) -> Matrix:
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
-def _swap_rows(a, u, i, j):
-    if i != j:
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
+def _swap_cols(a, i, j):
     if i != j:
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
 
-def _add_row(a, u, dst, src, mult):
+def _add_row(a, dst, src, mult):
     # row_dst += mult * row_src
     if mult:
         a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
 
 
-def _add_col(a, v, dst, src, mult):
+def _add_col(a, dst, src, mult):
     if mult:
         for row in a:
             if row[src]:
                 row[dst] += mult * row[src]
-        if v is not None:
-            for row in v:
-                if row[src]:
-                    row[dst] += mult * row[src]
 
 
 def _smith(m, rows, cols, track_u, track_v):
     """The elimination behind ``snf``, as lists: (U or None, S, V or None).
 
-    U and V are built and updated only when tracked; S and every row and
-    column operation are the same either way.
+    A tracked U rides to the right of the first nr rows of one working matrix
+    and a tracked V below its first nc columns, so each operation runs once;
+    pivots are read in the first nc columns alone, so S is the same either way.
     """
     nr = rows if rows is not None else len(m)
     nc = cols if cols is not None else (len(m[0]) if m else 0)
     a = [list(map(int, row)) for row in m]
     if len(a) != nr or any(len(row) != nc for row in a):
         raise ShapeMismatch("matrix shape does not match declared %dx%d" % (nr, nc))
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)] if track_u else None
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if track_v else None
+    if track_u:
+        for row, e in zip(a, identity(nr)):
+            row += e
+    if track_v:
+        a += map(list, identity(nc))
 
     t = 0
     while t < min(nr, nc):
@@ -139,32 +128,32 @@ def _smith(m, rows, cols, track_u, track_v):
         # a unit cannot be beaten, so the search stops at the first one
         best, pi = 0, -1
         for i in range(t, nr):
-            e = min(map(abs, filter(None, a[i][t:])), default=0)
+            e = min(map(abs, filter(None, a[i][t:nc])), default=0)
             if e and (best == 0 or e < best):
                 best, pi = e, i
                 if e == 1:
                     break
         if pi < 0:
             break
-        pj = list(map(abs, a[pi])).index(best, t)
-        _swap_rows(a, u, t, pi)
-        _swap_cols(a, v, t, pj)
+        pj = list(map(abs, a[pi][:nc])).index(best, t)
+        a[t], a[pi] = a[pi], a[t]
+        _swap_cols(a, t, pj)
         while True:
             restart = False
             for i in range(t + 1, nr):
                 if a[i][t]:
-                    _add_row(a, u, i, t, -(a[i][t] // a[t][t]))
+                    _add_row(a, i, t, -(a[i][t] // a[t][t]))
                     if a[i][t]:
                         # remainder beats the pivot; promote it and redo
-                        _swap_rows(a, u, t, i)
+                        a[t], a[i] = a[i], a[t]
                         restart = True
             if restart:
                 continue
             for j in range(t + 1, nc):
                 if a[t][j]:
-                    _add_col(a, v, j, t, -(a[t][j] // a[t][t]))
+                    _add_col(a, j, t, -(a[t][j] // a[t][t]))
                     if a[t][j]:
-                        _swap_cols(a, v, t, j)
+                        _swap_cols(a, t, j)
                         restart = True
             if restart:
                 continue
@@ -173,16 +162,16 @@ def _smith(m, rows, cols, track_u, track_v):
             p = a[t][t]
             if p == 1 or p == -1:
                 break
-            bad = next((i for i in range(t + 1, nr) if gcd(*a[i][t + 1:]) % p), None)
+            bad = next((i for i in range(t + 1, nr) if gcd(*a[i][t + 1:nc]) % p), None)
             if bad is None:
                 break
-            _add_row(a, u, t, bad, 1)
+            _add_row(a, t, bad, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
         t += 1
-    return u, a, v
+    u = [row[nc:] for row in a[:nr]] if track_u else None
+    s = [row[:nc] for row in a[:nr]]
+    return u, s, (a[nr:] if track_v else None)
 
 
 def snf(m, rows: int | None = None, cols: int | None = None):
@@ -444,7 +433,7 @@ def parse_summands(text: str) -> tuple:
     for tok in s.split(" + "):
         m = _TOK_FREE.match(tok) or _TOK_CYCLIC.match(tok) or _TOK_DIV.match(tok)
         if not m:
-            raise RenderParseError("bad group token %r in %r" % (tok, text))
+            raise RenderParseError("bad group token %r in %r" % (tok[:32], text[:64]))
         try:
             n = int(m.group(1) or 1)
         except ValueError:  # more digits than the int-conversion limit

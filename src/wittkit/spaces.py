@@ -330,32 +330,20 @@ def pic_surjective(space: SpaceDescriptor) -> bool:
 # JSON descriptors
 
 
-def _matrix_to_json(m) -> list:
-    return [list(row) for row in m]
+# each kind's file fields in the order its constructor takes them; s1 may be left out
+_FIELDS = {
+    "point": (),
+    "curve": ("projective", "genus", "punctures"),
+    "surface": ("projective", "h_int", "nu", "rho", "ch2_mod2_rank", "sq2", "pi2", "s1"),
+}
 
 
 def descriptor_to_json(space: SpaceDescriptor) -> str:
-    if space.kind == "point":
-        doc = {"kind": "point"}
-    elif space.kind == "curve":
-        doc = {
-            "kind": "curve",
-            "projective": space.projective,
-            "genus": space.genus,
-            "punctures": space.punctures,
-        }
-    else:
-        doc = {
-            "kind": "surface",
-            "projective": space.projective,
-            "h_int": [render(h) for h in space.h_int_table],
-            "nu": space.nu,
-            "rho": space.rho,
-            "ch2_mod2_rank": space.ch2_mod2_rank,
-            "sq2": _matrix_to_json(space.sq2),
-            "pi2": _matrix_to_json(space.pi2),
-            "s1": _matrix_to_json(space.s1),
-        }
+    doc = {"kind": space.kind}
+    for key in _FIELDS[space.kind]:
+        val = space.h_int_table if key == "h_int" else getattr(space, key)
+        doc[key] = ([render(x) if isinstance(x, SymGroup) else list(x) for x in val]
+                    if isinstance(val, tuple) else val)
     return json.dumps(doc, sort_keys=True)
 
 
@@ -371,20 +359,18 @@ def descriptor_from_json(source) -> SpaceDescriptor:
     if not isinstance(data, dict):
         raise InconsistentDescriptor("descriptor must be a JSON object")
     kind = data.get("kind")
-    if kind == "point":
-        _check_keys(data, {"kind"})
-        return make_point()
-    if kind == "curve":
-        _check_keys(data, {"kind", "projective", "genus", "punctures"})
-        return make_curve(data["projective"], data["genus"], data["punctures"])
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise InconsistentDescriptor("kind must be point, curve, or surface, got %r" % (kind,))
+    fields = _FIELDS[kind]
+    extra = set(data) - {"kind", *fields}
+    if extra:
+        raise InconsistentDescriptor("unknown descriptor keys: %s" % sorted(extra))
+    missing = set(fields) - set(data) - {"s1"}
+    if missing:
+        raise InconsistentDescriptor("missing descriptor keys: %s" % sorted(missing))
+    args = [data.get(key) for key in fields]
     if kind == "surface":
-        _check_keys(
-            data,
-            {"kind", "projective", "h_int", "nu", "rho", "ch2_mod2_rank",
-             "sq2", "pi2", "s1"},
-            optional={"s1"},
-        )
-        raw = data.get("h_int")
+        raw = args[1]
         if (not isinstance(raw, list) or len(raw) != 5
                 or not all(isinstance(s, str) for s in raw)):
             raise InconsistentDescriptor("h_int must list five group strings H^0..H^4")
@@ -392,18 +378,8 @@ def descriptor_from_json(source) -> SpaceDescriptor:
             raise InconsistentDescriptor(
                 "h_int entries may have at most %d summands" % MAX_GROUP_SUMMANDS)
         try:
-            table = tuple([parse_group(s) for s in raw])
+            args[1] = tuple([parse_group(s) for s in raw])
         except RenderParseError as exc:
             raise InconsistentDescriptor("h_int entry unreadable: %s" % exc)
-        return make_surface(data["projective"], table, data["nu"], data["rho"],
-                            data["ch2_mod2_rank"], data["sq2"], data["pi2"], data.get("s1"))
-    raise InconsistentDescriptor("kind must be point, curve, or surface, got %r" % (kind,))
-
-
-def _check_keys(data: dict, allowed: set, optional: set = frozenset()):
-    extra = set(data) - allowed
-    if extra:
-        raise InconsistentDescriptor("unknown descriptor keys: %s" % sorted(extra))
-    missing = allowed - set(data) - set(optional)
-    if missing:
-        raise InconsistentDescriptor("missing descriptor keys: %s" % sorted(missing))
+    # the constructor is looked up on each call, so a wrapper bound in its place runs
+    return {"point": make_point, "curve": make_curve, "surface": make_surface}[kind](*args)

@@ -131,9 +131,18 @@ def test_batch_table_has_name_headers():
     assert "[k3?rho=20]" in out.splitlines()
 
 
-# ---------------------------------------------------------------------------
-# compare
-
+@pytest.mark.parametrize("argv, out", [
+    # compute prints a space's header before its table is computed
+    (("compute", "--all", "--theory", "w", "--twist", "O(p)"), "[point]\n"),
+    (("compute", "--all", "--theory", "kok", "--twist", "bad"), "[point]\n"),
+    # compare prints it after the comparison, which the point refuses
+    (("compare", "--all", "--twist", "O(p)"), ""),
+    (("compare", "--all", "--twist", "bad"), ""),
+])
+def test_a_batch_table_failing_on_its_first_space_prints_what_it_did(argv, out):
+    code, got, err = go(*argv, "--format", "table")
+    assert (code, got) == (1, out)
+    assert err.startswith("error [no-such-twist]"), err
 
 def test_compare_single_json_matches_library_route():
     code, out, _ = go("compare", "--space", "catalog:enriques")

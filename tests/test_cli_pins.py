@@ -3,10 +3,8 @@
 Each record of ``cli_pins.json`` holds an argv, its exit code, its exact
 stdout, and, for a refusal, the prefix of its stderr (a run that succeeds
 writes nothing there), with the reason it is pinned. Every record runs
-in-process through ``run``. The first record of each exit code, and every
-record with a ``timeout``, also runs as ``python -m wittkit.cli`` in a fresh
-interpreter, within that timeout. The Tier-1 workflow runs every record of
-the same file the second way.
+in-process through ``run``, and again as ``python -m wittkit.cli`` in a fresh
+interpreter, within its ``timeout`` (60 s unless the record sets one).
 """
 
 import json
@@ -37,11 +35,7 @@ def test_pinned_run(pin):
     assert_pinned(pin, *go(*pin["argv"]))
 
 
-CHILD = [pin for pin in PINS if "timeout" in pin
-         or pin is next(p for p in PINS if p["exit"] == pin["exit"])]
-
-
-@pytest.mark.parametrize("pin", CHILD, ids=[" ".join(pin["argv"]) for pin in CHILD])
+@pytest.mark.parametrize("pin", PINS, ids=IDS)
 def test_pinned_run_in_a_fresh_interpreter(pin):
     done = run_child("-m", "wittkit.cli", *pin["argv"], timeout=pin.get("timeout", 60))
     assert_pinned(pin, done.returncode, done.stdout, done.stderr)

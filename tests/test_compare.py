@@ -40,7 +40,14 @@ from wittkit.errors import (
     UnsupportedTwist,
     WittkitError,
 )
-from wittkit.groups import Z2, elementary_two, f2_rank, is_elementary_two, parse_group
+from wittkit.groups import (
+    Z2,
+    elementary_two,
+    f2_rank,
+    is_elementary_two,
+    parse_group,
+    parse_summands,
+)
 from wittkit.spaces import MAX_CURVE_RANK, betti, make_curve, make_point
 from wittkit.witt import w_curve
 
@@ -374,6 +381,65 @@ def test_report_from_json_refuses_an_iso_that_is_not_column_equality(at):
         report_from_json(_edited_report(flip))
     assert info.value.signal == "render-parse"
     assert str(info.value) == "report: row %d's iso is not W == KOK" % at
+
+
+@pytest.mark.parametrize("change", [
+    {"verdict": SURFACE_ISO},
+    {"mismatch": None},
+    {"kind": "banana", "twist": "banana", "verdict": "banana"},
+    {"kind": "torus"},
+    {"twist": "O(q)"},
+    {"kind": "curve"},
+    {"twist": "O(p)"},
+    {"mismatch": {"shift": 0, "w_rank": 11, "kok_rank": 0}},
+    {"pic_surjective": True},
+    {"pic_surjective": True, "mismatch": None, "verdict": SURFACE_ISO},
+], ids=["verdict", "mismatch", "banana", "kind", "twist", "curve-kind", "odd-twist",
+        "ranks", "pic-surjective", "pic-surjective-mismatch-verdict"])
+def test_report_from_json_refuses_what_its_rows_do_not_give(change):
+    # K3 rho=10 has a Picard defect: its rows give surface-mismatch with
+    # mismatch (0, 12, 0) and pic_surjective false, under the trivial twist
+    with pytest.raises(WittkitError) as info:
+        report_from_json(_edited_report(lambda doc: doc.update(change)))
+    assert info.value.signal == "render-parse"
+
+
+def test_report_from_json_refuses_a_shift_0_without_the_point_summand():
+    # the reduced groups at a differing shift 0 drop the point's Z/2, which a
+    # column 0 cannot lack under the trivial twist
+    doc = json.loads(report_to_json(compare_w_kok(make_curve(True, 1))))
+    doc["rows"][0].update(W="0", iso=False)
+    with pytest.raises(WittkitError) as info:
+        report_from_json(json.dumps(doc))
+    assert info.value.signal == "render-parse"
+    assert str(info.value) == "report: shift 0 lacks the point's Z/2"
+
+
+def test_report_from_json_takes_what_the_rows_give():
+    # a consistent edit still reads: the columns of K3 rho=10 made equal make
+    # its rows give surface-iso, no mismatch and a Picard map onto
+    doc = json.loads(_edited_report(lambda d: None))
+    for row in doc["rows"]:
+        row.update(KOK=row["W"], iso=True)
+    doc.update(verdict=SURFACE_ISO, mismatch=None, pic_surjective=True)
+    back = report_from_json(json.dumps(doc))
+    assert (back.verdict, back.mismatch, back.pic_surjective) == (SURFACE_ISO, None, True)
+
+
+def test_refusals_quote_a_bounded_prefix_of_their_input():
+    long = " + ".join(["Z/2"] * 200001)
+    doc = json.loads(_with_column("Z/2"))
+    doc["rows"][0]["W"] = long + " + Z/3"
+    for call, start in ((lambda: parse_summands(long + " + Q"), "bad group token 'Q' in 'Z/2 + "),
+                        (lambda: report_from_json(json.dumps(doc)), "report: W column 'Z/2 + ")):
+        with pytest.raises(WittkitError) as info:
+            call()
+        assert info.value.signal == "render-parse"
+        assert str(info.value).startswith(start) and len(str(info.value)) < 200
+    # a short input is quoted whole, as before
+    with pytest.raises(WittkitError) as info:
+        parse_summands("Z/2 + Q")
+    assert str(info.value) == "bad group token 'Q' in 'Z/2 + Q'"
 
 
 def test_cross_checks_raise_under_python_O():
