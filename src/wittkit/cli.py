@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .catalog import canonical_int, catalog_get, catalog_instances, catalog_list
+from .catalog import canonical_int, catalog_get, catalog_instances, catalog_list, lookup
 from .compare import SURFACE_MISMATCH, compare_w_kok, report_payload
 from .errors import InconsistentDescriptor, WittkitError
 from .groups import render
@@ -204,32 +204,22 @@ def _cmd_specseq(args) -> int:
 # sw
 
 
-# builder, parameter, range: P^512 and generic rank 10 build in about 0.1 s
-# (d^2 and exponential growth); curve genus stops where curve descriptors do
-_RING_BUILDERS = {
-    "projective": (projective_space_ring, "d", 0, 512),
-    "curve": (curve_symplectic_ring, "g", 0, MAX_CURVE_RANK // 2),
-    "generic": (generic_sw_ring, "rank", 1, 10),
+# base -> (builder, ((key, least, greatest),)), read by catalog.lookup: P^512
+# and generic rank 10 build in about 0.1 s (d^2 and exponential growth); curve
+# genus stops where curve descriptors do
+_RINGS = {
+    "projective": (projective_space_ring, (("d", 0, 512),)),
+    "curve": (curve_symplectic_ring, (("g", 0, MAX_CURVE_RANK // 2),)),
+    "generic": (generic_sw_ring, (("rank", 1, 10),)),
 }
 
 
 def _build_ring(text: str):
-    base, sep, query = text.partition("?")
-    if base not in _RING_BUILDERS:
-        raise _UsageError(
-            "unknown ring %r; use %s" % (base, ", ".join(sorted(_RING_BUILDERS))))
-    builder, key, lo, hi = _RING_BUILDERS[base]
-    if not sep:
-        raise _UsageError("ring %r needs ?%s=<int>" % (base, key))
-    name, eq, value = query.partition("=")
-    if name != key or not eq:
-        raise _UsageError("ring %r takes the single parameter %s" % (base, key))
-    n = canonical_int(value)
-    if n is None:
-        raise _UsageError("ring parameter %s must be an integer" % key)
-    if not lo <= n <= hi:
-        raise _UsageError("ring parameter %s must lie in %d..%d" % (key, lo, hi))
-    return builder(n)
+    try:
+        builder, _, values = lookup(_RINGS, text)
+    except WittkitError as exc:  # a ring is a usage fault: "error: ", no signal
+        raise _UsageError(exc) from None
+    return builder(*values)
 
 
 def _cmd_sw(args) -> int:

@@ -30,7 +30,6 @@ CURVE_ALWAYS_ISO = "curve-always-iso"
 SURFACE_ISO = "surface-iso"
 SURFACE_MISMATCH = "surface-mismatch"
 _MISMATCH_KEYS = ("shift", "w_rank", "kok_rank")
-_DIMS = {"point": 0, "curve": 1, "surface": 2}  # a report's kind and its dimension
 
 
 @dataclass(frozen=True)
@@ -184,19 +183,19 @@ def report_from_json(source) -> ComparisonReport:
         if row.iso != (row.w == row.kok):
             raise RenderParseError("report: row %d's iso is not W == KOK" % i)
     m = _entry(data, "mismatch", (dict, type(None)))
+    kind = _entry(data, "kind", str)
     report = ComparisonReport(
-        kind=_entry(data, "kind", str),
+        kind=kind,
         twist=_entry(data, "twist", str),
         pic_surjective=_entry(data, "pic_surjective", bool),
         rows=rows,
         verdict=_entry(data, "verdict", str),
         mismatch=None if m is None else tuple(_entry(m, key, int) for key in _MISMATCH_KEYS),
     )
-    dim = _DIMS.get(report.kind)
-    if dim is None or report.twist not in (TRIVIAL_TWIST, ODD_TWIST):
+    if kind not in SpaceDescriptor.KINDS or report.twist not in (TRIVIAL_TWIST, ODD_TWIST):
         raise RenderParseError("report: a kind or twist that no report has")
     try:
-        verdict, mismatch = _verdict(rows, report.twist, dim)
+        verdict, mismatch = _verdict(rows, report.twist, SpaceDescriptor.KINDS.index(kind))
     except InvariantViolation:  # a point summand missing from shift 0
         raise RenderParseError("report: shift 0 lacks the point's Z/2") from None
     if (report.verdict, report.mismatch, report.pic_surjective) != (verdict, mismatch, not mismatch):

@@ -443,7 +443,7 @@ def parse_summands(text: str) -> tuple:
         elif m.re is _TOK_DIV:
             div += n
         elif n < 2:
-            raise RenderParseError("cyclic order must be >= 2 in %r" % tok)
+            raise RenderParseError("cyclic order must be >= 2 in %r" % tok[:32])
         else:
             factors.append(n)
     return free_rank, factors, div

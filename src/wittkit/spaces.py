@@ -51,6 +51,7 @@ MAX_GROUP_SUMMANDS = 256
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A space's data; its dimension and kind are read off ``h_int_table``."""
+    KINDS = ("point", "curve", "surface")  # indexed by the dimension; not a field
     projective: bool = True
     genus: int = 0
     punctures: int = 0
@@ -70,7 +71,7 @@ class SpaceDescriptor:
 
     @property
     def kind(self) -> str:
-        return ("point", "curve", "surface")[self.dim]
+        return self.KINDS[self.dim]
 
     def __str__(self):
         if self.kind == "point":
@@ -360,11 +361,12 @@ def descriptor_from_json(source) -> SpaceDescriptor:
         raise InconsistentDescriptor("descriptor must be a JSON object")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _FIELDS:
-        raise InconsistentDescriptor("kind must be point, curve, or surface, got %r" % (kind,))
+        raise InconsistentDescriptor("kind must be point, curve, or surface, got %.64r" % (kind,))
     fields = _FIELDS[kind]
     extra = set(data) - {"kind", *fields}
-    if extra:
-        raise InconsistentDescriptor("unknown descriptor keys: %s" % sorted(extra))
+    if extra:  # the first three, their list cut short, and how many more
+        raise InconsistentDescriptor("unknown descriptor keys: %.96s%s" % (
+            sorted(extra)[:3], " and %d more" % (len(extra) - 3) if len(extra) > 3 else ""))
     missing = set(fields) - set(data) - {"s1"}
     if missing:
         raise InconsistentDescriptor("missing descriptor keys: %s" % sorted(missing))

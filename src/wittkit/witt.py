@@ -59,7 +59,7 @@ def normalize_twist(twist) -> str:
         return TRIVIAL_TWIST
     if twist in (TRIVIAL_TWIST, ODD_TWIST):
         return twist
-    raise NoSuchTwist("unknown twist class %r; use %r or %r"
+    raise NoSuchTwist("unknown twist class %.64r; use %r or %r"
                       % (twist, TRIVIAL_TWIST, ODD_TWIST))
 
 
@@ -482,7 +482,7 @@ def ring_parse(ring: RingContext, text: str):
         label = part.strip()
         if label not in ring.basis:
             raise RenderParseError("unknown basis label %r in ring %s"
-                                   % (label, ring.name))
+                                   % (label[:32], ring.name))
         out[ring.basis.index(label)] ^= 1
     return tuple(out)
 

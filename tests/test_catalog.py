@@ -91,6 +91,14 @@ def test_every_entry_equals_its_literal():
 
 
 def test_entry_names_are_canonical():
+    # every kept name and 45 affine ones, each also with its keys swapped
+    names = REGISTERED + tuple("affine_curve?g=%d&n=%d" % (g, n)
+                               for g in range(MAX_GENUS + 1) for n in range(1, 6))
+    assert len(names) == 44 + 45
+    for name in names:
+        base, sep, query = name.partition("?")
+        swapped = base + sep + "&".join(query.split("&")[::-1])
+        assert catalog_get(name).name == catalog_get(swapped).name == name, swapped
     assert catalog_get("affine_curve?n=2&g=1").name == "affine_curve?g=1&n=2"
     assert catalog_get("k3?rho=7").name == "k3?rho=7"
     assert catalog_get("point").name == "point"

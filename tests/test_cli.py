@@ -28,8 +28,8 @@ from wittkit import cli
 from wittkit.catalog import catalog_get, catalog_instances
 from wittkit.cli import main, run
 from wittkit.compare import compare_w_kok, report_to_json
-from wittkit.errors import InconsistentDescriptor
-from wittkit.groups import Z2, cyclic, direct_sum, elementary_two, render
+from wittkit.errors import InconsistentDescriptor, WittkitError
+from wittkit.groups import Z2, cyclic, direct_sum, elementary_two, parse_group, render
 from wittkit.spaces import (
     MAX_CURVE_RANK,
     MAX_GROUP_SUMMANDS,
@@ -291,9 +291,14 @@ def test_sw_ring_grammar_errors():
     for text in ("projective?g=2", "foo?x=1", "generic", "generic?rank=two",
                  "projective?d=2&x=1", "curve?g=1_0", "projective?d=+2",
                  "projective?d=02", "curve?g=\u0661", "generic?rank= 2",
-                 "curve?g=None"):
+                 "curve?g=None",
+                 # the catalog's malformed spellings, on a ring
+                 "projective?d=2&d=2", "projective?d=-0", "projective?d=+1",
+                 "projective?d=01", "projective?d=\u0661", "projective?d=",
+                 "projective?d=None", "projective?x=1"):
         code, _, err = go("sw", "--ring", text, "--rank", "1")
-        assert code == 1 and err.startswith("error")
+        assert code == 1 and err.startswith("error: "), (text, err)
+        assert "Traceback" not in err, text
     # parameters outside the admitted range are refused by name and range
     for text, bound in (("projective?d=-1", "d must lie in 0..512"),
                         ("projective?d=513", "d must lie in 0..512"),
@@ -425,6 +430,34 @@ def test_twist_errors_exit_one():
     code, _, err = go("compute", "--space", "catalog:p1", "--theory", "w",
                       "--twist", "weird")
     assert code == 1 and "no-such-twist" in err
+
+
+def test_refusals_quote_a_bounded_prefix_of_their_input():
+    many_keys = dict.fromkeys(("k%d" % i for i in range(100000)), 0)
+    for call, signal in (
+            (lambda: descriptor_from_json(json.dumps({"kind": "x" * 10**6})),
+             "inconsistent-descriptor"),
+            (lambda: descriptor_from_json(json.dumps(dict(many_keys, kind="point"))),
+             "inconsistent-descriptor"),
+            (lambda: catalog_get("y" * 10**6), "unknown-name"),
+            (lambda: parse_group("Z/" + "0" * 4000), "render-parse")):
+        with pytest.raises(WittkitError) as info:
+            call()
+        assert info.value.signal == signal and len(str(info.value)) < 200
+    for argv, start in ((("sw", "--ring", "q" * 10**6 + "?d=1", "--rank", "1"), "error: "),
+                        (("sw", "--ring", "projective?d=2", "--rank", "1", "--chern",
+                          "c" * 10**6), "error [render-parse]: "),
+                        (("compute", "--space", "catalog:p1", "--theory", "w", "--twist",
+                          "t" * 10**6), "error [no-such-twist]: ")):
+        code, out, err = go(*argv)
+        assert (code, out) == (1, "") and err.startswith(start) and len(err) < 200, err[:200]
+    # a short input is quoted whole, as before
+    with pytest.raises(WittkitError) as info:
+        descriptor_from_json('{"kind": "point", "zz": 1, "aa": 2}')
+    assert str(info.value) == "unknown descriptor keys: ['aa', 'zz']"
+    with pytest.raises(WittkitError) as info:
+        descriptor_from_json('{"kind": "line"}')
+    assert str(info.value) == "kind must be point, curve, or surface, got 'line'"
 
 
 def test_byte_determinism():
