@@ -42,9 +42,10 @@ class _Exit(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; our contract reserves 2
-    # for failed assertions, so route everything through one exception
+    # for failed assertions, so route everything through one exception; a
+    # refused value is quoted whole in ``message``, so keep a bounded prefix
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message[:160])
 
     # the help action prints the help and then calls exit(), which would
     # leave the interpreter; run() returns the status instead. Only error(),
@@ -61,7 +62,7 @@ def _load_space(source: str):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InconsistentDescriptor("cannot read descriptor file: %s" % exc) from exc
+        raise InconsistentDescriptor("cannot read descriptor file: %.100s" % exc) from exc
     return source, descriptor_from_json(text)
 
 

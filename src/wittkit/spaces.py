@@ -121,7 +121,7 @@ def _as_f2(m, name: str, rows: int, cols: int) -> Matrix:
     mat = tuple([tuple(row) for row in m])
     if len(mat) != rows or any(len(row) != cols for row in mat):
         raise InconsistentDescriptor(
-            "%s must be a %dx%d F2 matrix, got %dx%s"
+            "%s must be a %dx%d F2 matrix, got %dx%.64s"
             % (name, rows, cols, len(mat), [len(r) for r in mat] or "0")
         )
     if not set(map(type, chain.from_iterable(mat))) <= {int}:

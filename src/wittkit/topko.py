@@ -204,8 +204,6 @@ def ql_hermitian_verdict(space: SpaceDescriptor) -> QlReport:
             if not (w_grp == quotient):
                 raise InvariantViolation(
                     "W^%d and KO^%d/K of %s differ" % (i, 2 * i, space))
-        if not (mod2_ranks(space).w is not None):
-            raise InvariantViolation("mod-2 ranks of %s are eta-obstructed" % space)
         checked = (0, 1, 2, 3)
     return QlReport(onto, k1_rank, verdict, checked)
 

@@ -434,11 +434,14 @@ def test_twist_errors_exit_one():
 
 def test_refusals_quote_a_bounded_prefix_of_their_input():
     many_keys = dict.fromkeys(("k%d" % i for i in range(100000)), 0)
+    tall_sq2 = dict(json.loads(descriptor_to_json(catalog_get("p2").descriptor)),
+                    sq2=[[1]] * 100000)
     for call, signal in (
             (lambda: descriptor_from_json(json.dumps({"kind": "x" * 10**6})),
              "inconsistent-descriptor"),
             (lambda: descriptor_from_json(json.dumps(dict(many_keys, kind="point"))),
              "inconsistent-descriptor"),
+            (lambda: descriptor_from_json(json.dumps(tall_sq2)), "inconsistent-descriptor"),
             (lambda: catalog_get("y" * 10**6), "unknown-name"),
             (lambda: parse_group("Z/" + "0" * 4000), "render-parse")):
         with pytest.raises(WittkitError) as info:
@@ -448,7 +451,17 @@ def test_refusals_quote_a_bounded_prefix_of_their_input():
                         (("sw", "--ring", "projective?d=2", "--rank", "1", "--chern",
                           "c" * 10**6), "error [render-parse]: "),
                         (("compute", "--space", "catalog:p1", "--theory", "w", "--twist",
-                          "t" * 10**6), "error [no-such-twist]: ")):
+                          "t" * 10**6), "error [no-such-twist]: "),
+                        (("compute", "--space", "s" * 10**5, "--theory", "w"),
+                         "error [inconsistent-descriptor]: cannot read descriptor file: "),
+                        (("compare", "--space", "/nonexistent/" + "n" * 10**5),
+                         "error [inconsistent-descriptor]: cannot read descriptor file: "),
+                        (("compute", "--space", "catalog:p1", "--theory", "v" * 10**5),
+                         "error: argument --theory: invalid choice: "),
+                        (("compute", "--space", "catalog:p1", "--theory", "w", "--shift",
+                          "1" + "x" * 10**5), "error: argument --shift: invalid int value: "),
+                        (("sw", "--ring", "projective?d=2", "--rank", "r" * 10**5),
+                         "error: argument --rank: invalid int value: ")):
         code, out, err = go(*argv)
         assert (code, out) == (1, "") and err.startswith(start) and len(err) < 200, err[:200]
     # a short input is quoted whole, as before
@@ -458,6 +471,12 @@ def test_refusals_quote_a_bounded_prefix_of_their_input():
     with pytest.raises(WittkitError) as info:
         descriptor_from_json('{"kind": "line"}')
     assert str(info.value) == "kind must be point, curve, or surface, got 'line'"
+    with pytest.raises(WittkitError) as info:
+        descriptor_from_json(json.dumps(dict(tall_sq2, sq2=[[1], [1, 0]])))
+    assert str(info.value) == "sq2 must be a 1x1 F2 matrix, got 2x[1, 2]"
+    assert go("compute", "--space", "/nonexistent/a.json", "--theory", "w")[2] \
+        == "error [inconsistent-descriptor]: cannot read descriptor file: " \
+        "[Errno 2] No such file or directory: '/nonexistent/a.json'\n"
 
 
 def test_byte_determinism():

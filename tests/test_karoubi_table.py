@@ -3,10 +3,12 @@
 ``reference_karoubi_setup``, ``reference_split_flags`` and the curve branch
 of ``reference_fh_image`` are the functions as they stood when the proof
 data of ``karoubi_check`` was typed out once per curve case, copied verbatim
-(only renamed). The table, with the divisible flags, the zero rows of the
-untouched generators and the odd-shift ``jac`` derived from it, must give
-the same coordinates, K_0 shadow, forgetful images, hyperbolic matrices,
-split flags and F.H images on every curve case. Every cokernel projection
+(only renamed), with the three divisible flags they read. The table, with
+the zero rows of the untouched generators and the odd-shift ``jac`` derived
+from it, must give the same coordinates, K_0 shadow, forgetful images,
+hyperbolic matrices, split flags and F.H images on every curve case, and the
+parity of the shift, which ``karoubi_check`` reads in place of the flags,
+must call im F full exactly where the hand setup does. Every cokernel projection
 that ``karoubi_check`` builds there must also equal the one of the
 elimination route that the F2 route into elementary 2-groups replaced.
 """
@@ -14,12 +16,8 @@ elimination route that the F2 route into elementary 2-groups replaced.
 from test_groups import reference_cokernel_map
 from wittkit import witt
 from wittkit.groups import TRIVIAL, Z, GroupMap, SymGroup, cokernel_map, free
-from wittkit.spaces import SpaceDescriptor, make_curve, require_kind
+from wittkit.spaces import SpaceDescriptor, make_curve, picard, require_kind
 from wittkit.witt import (
-    _DIV_FULL,
-    _DIV_TORSION,
-    _DIV_ZERO,
-    _IM_F_DIV,
     ODD_TWIST,
     TRIVIAL_TWIST,
     FHImage,
@@ -32,6 +30,10 @@ from wittkit.witt import (
     karoubi_check,
     witt_table,
 )
+
+_DIV_FULL = "full"        # image covers the whole divisible summand
+_DIV_TORSION = "torsion"  # image is exactly its 2-torsion
+_DIV_ZERO = "zero"        # image misses it entirely
 
 
 def reference_split_flags(space: SpaceDescriptor, tw: str) -> tuple:
@@ -114,7 +116,13 @@ def test_karoubi_table_matches_hand_setup():
         case = (space, tw)
         assert table_coords == coords, case
         assert free(len(table_coords)) == k_fg, case
-        assert tuple(zip(im_cols, _IM_F_DIV)) == im_f, case
+        assert im_cols == tuple(cols for cols, _ in im_f), case
+        # im F on GW^i covers the divisible summand exactly at odd i, so the
+        # S-piece of shift i + 1 keeps the Jacobian exactly after an even i
+        assert [div == _DIV_FULL for _, div in im_f] == [i % 2 == 1 for i in range(4)], case
+        jac = picard(space).divisible_rank
+        assert [n.s_piece.divisible_rank for n in karoubi_check(space, tw).nodes] \
+            == [0 if im_f[(i - 1) % 4][1] == _DIV_FULL else jac for i in range(4)], case
         for i in range(4):
             assert _hyperbolic_map(k_fg, gw_fg[i], touched[i]) == GroupMap(
                 k_fg, gw_fg[i], hyp[i]), (case, i)

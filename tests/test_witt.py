@@ -48,6 +48,7 @@ from wittkit.specseq import pardon_stable
 from wittkit.topko import KOK_POINT, ko_curve, ko_curve_reduced, ko_point, ko_table, kok_reduced
 from wittkit.witt import (
     FHImage,
+    RingContext,
     TruncatedClass,
     check_twist,
     curve_symplectic_ring,
@@ -523,14 +524,71 @@ def test_whitney_commutative_associative(a, b, c):
     right = sw_whitney_product(a, sw_whitney_product(b, c))
     assert left == right
     assert left.coefficients[0] == _CURVE_RING.unit()
+    for x, y in ((a, b), (b, c), (sw_whitney_product(a, b), c)):
+        assert _whitney(sw_whitney_product, x, y) == _whitney(reference_sw_whitney_product, x, y)
+
+
+def reference_sw_whitney_product(a: TruncatedClass, b: TruncatedClass,
+                                 ring: RingContext | None = None) -> TruncatedClass:
+    """sw_whitney_product as it stood before a total class multiplied as one ring
+    element: a ring_mul per pair of t-degrees, with its own overflow check."""
+    if ring is None:
+        ring = a.ring
+    if a.ring != ring or b.ring != ring:
+        raise RingMismatch("classes live over different ring contexts")
+    out = [ring.zero() for _ in range(ring.max_degree + 1)]
+    for i, ai in enumerate(a.coefficients):
+        if not any(ai):
+            continue
+        for j, bj in enumerate(b.coefficients):
+            if not any(bj):
+                continue
+            if i + j > ring.max_degree:
+                if ring.truncates_to_zero:
+                    continue
+                raise TruncationError(
+                    "t^%d term overflows max degree %d" % (i + j, ring.max_degree))
+            term = ring_mul(ring, ai, bj)
+            out[i + j] = tuple(x ^ y for x, y in zip(out[i + j], term))
+    return TruncatedClass(ring, tuple(out))
+
+
+def _whitney(fn, a, b):
+    """The coefficients of ``fn(a, b)``, or TruncationError if it raises that."""
+    try:
+        return fn(a, b).coefficients
+    except TruncationError:
+        return TruncationError
+
+
+def _bulk_class(ring, rng):
+    """A class with entries 0 to 3 up to a random t-degree and zero above it, so
+    that pairs over a ring whose overflow raises both fit and overflow."""
+    top = rng.randrange(1, ring.max_degree + 2)
+    return TruncatedClass(ring, (ring.unit(),) + tuple(
+        tuple([rng.choice((0, 1, 2, 3)) if deg == d < top else 0 for deg in ring.degrees])
+        for d in range(1, ring.max_degree + 1)))
 
 
 def test_whitney_random_seeded_bulk():
+    # the reference's coefficients, or TruncationError on both sides
     ring = projective_space_ring(4)
     rng = random.Random(20240817)
     for _ in range(120):
         a, b = _random_class(ring, rng), _random_class(ring, rng)
         assert sw_whitney_product(a, b) == sw_whitney_product(b, a)
+        assert _whitney(sw_whitney_product, a, b) == _whitney(reference_sw_whitney_product, a, b)
+    overflowed = set()
+    for ring in ([projective_space_ring(d) for d in range(1, 9)]
+                 + [curve_symplectic_ring(g) for g in range(5)]
+                 + [generic_sw_ring(r) for r in range(1, 5)]):
+        for _ in range(40):
+            a, b = _bulk_class(ring, rng), _bulk_class(ring, rng)
+            expected = _whitney(reference_sw_whitney_product, a, b)
+            assert _whitney(sw_whitney_product, a, b) == expected, (ring.name, a, b)
+            if not ring.truncates_to_zero:
+                overflowed.add(expected is TruncationError)
+    assert overflowed == {False, True}
 
 
 def test_truncation_signals():
@@ -628,6 +686,62 @@ def test_metabolic_total_matches_the_unbounded_walk(ring):
                 assert result(sw_metabolic_total, chern, rank, complex_base) \
                     == result(reference_sw_metabolic_total, chern, rank, complex_base), \
                     (ring.name, chern, rank, complex_base)
+
+
+def reference_monomial_ring(name, gens, max_degree, truncates_to_zero, minus_one_label=None):
+    """_monomial_ring as it stood before a monomial's degree was one function:
+    each exponent probed one past its range, each degree summed inline."""
+    labels = [lab for lab, _ in gens]
+    monos = [()]  # exponent tuples over gens
+    for _ in gens:
+        grown = []
+        for expo in monos:
+            e = 0
+            while True:
+                cand = expo + (e,)
+                deg = sum(gens[t][1] * cand[t] for t in range(len(cand)))
+                if deg > max_degree:
+                    break
+                grown.append(cand)
+                e += 1
+        monos = grown
+    monos.sort(key=lambda expo: (sum(gens[t][1] * expo[t] for t in range(len(expo))), expo))
+
+    def label_of(expo):
+        parts = []
+        for t, e in enumerate(expo):
+            if e == 1:
+                parts.append(labels[t])
+            elif e > 1:
+                parts.append("%s^%d" % (labels[t], e))
+        return "*".join(parts) if parts else "1"
+
+    basis = tuple(label_of(e) for e in monos)
+    degrees = tuple(sum(gens[t][1] * e[t] for t in range(len(e))) for e in monos)
+    index = {e: i for i, e in enumerate(monos)}
+    products = {}
+    for i, ei in enumerate(monos):
+        for j in range(i, len(monos)):
+            if degrees[i] + degrees[j] > max_degree:
+                continue
+            tot = tuple(a + b for a, b in zip(ei, monos[j]))
+            products[(i, j)] = (index[tot],)
+    minus_one = [0] * len(basis)
+    if minus_one_label is not None:
+        minus_one[basis.index(minus_one_label)] = 1
+    return RingContext(name, basis, degrees, products, max_degree,
+                       truncates_to_zero, tuple(minus_one))
+
+
+def test_monomial_rings_match_the_probing_builder():
+    # the same basis order, labels, degrees, products and class of (-1)
+    for d in range(65):
+        assert projective_space_ring(d) \
+            == reference_monomial_ring("P%d" % d, (("h", 2),), 2 * d, True), d
+    for r in range(1, 9):
+        gens = (("e", 1),) + tuple(("c%d" % j, 2 * j) for j in range(1, r + 1))
+        assert generic_sw_ring(r) == reference_monomial_ring(
+            "generic%d" % r, gens, 2 * r, False, minus_one_label="e"), r
 
 
 def test_ring_parse_render():
