@@ -27,9 +27,9 @@ def eliminations(monkeypatch):
 def f2_echelons(monkeypatch):
     """A list that gains one entry per F2 echelon during the test.
 
-    ``f2_rank`` and ``cokernel_map`` both run ``groups._f2_echelon``, the one
-    elimination over F2, so wrapping it by name counts them all. Clear the
-    list between calls counted apart.
+    Every F2 rank, ``homology_at``'s F2 route included, is ``f2_rank``, which
+    runs ``groups._f2_echelon``, the one elimination over F2, so wrapping it
+    by name counts them all. Clear the list between calls counted apart.
     """
     calls = []
     core = groups._f2_echelon

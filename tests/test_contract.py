@@ -3,9 +3,9 @@
 The error signal of each public entry point on every kind of space and
 twist class, a guard that keeps bare ``assert`` statements (stripped by
 ``python -O``) out of the package, one that keeps each module's private
-names to itself, one that keeps the tables from branching on the kind
-label instead of the data it is read off, and one that keeps out of the
-package what only the tests reach. The package loads each module on
+names to itself, one that keeps out imports a module never reads, one that
+keeps the tables from branching on the kind label instead of the data it is
+read off, and one that keeps out of the package what only the tests reach. The package loads each module on
 the first use of one of its names: what a fresh import loads is checked in
 a fresh interpreter, since the suite's own imports load every module first.
 """
@@ -109,6 +109,27 @@ def test_package_imports_no_private_names():
         for alias in node.names
         if alias.name.startswith("_")
     ]
+    assert found == []
+
+
+def test_package_imports_only_names_it_reads():
+    # an unused import is dead weight: every name a module binds by an import
+    # (``from __future__`` aside) is loaded somewhere in that module
+    package = pathlib.Path(wittkit.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [
+            "%s:%d %s" % (path.name, node.lineno, bound)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.partition(".")[0]]
+            if bound not in read
+        ]
     assert found == []
 
 

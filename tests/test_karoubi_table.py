@@ -8,14 +8,15 @@ the zero rows of the untouched generators and the odd-shift ``jac`` derived
 from it, must give the same coordinates, K_0 shadow, forgetful images,
 hyperbolic matrices, split flags and F.H images on every curve case, and the
 parity of the shift, which ``karoubi_check`` reads in place of the flags,
-must call im F full exactly where the hand setup does. Every cokernel projection
-that ``karoubi_check`` builds there must also equal the one of the
-elimination route that the F2 route into elementary 2-groups replaced.
+must call im F full exactly where the hand setup does. Every cokernel that
+``karoubi_check`` reads there must also equal the one of the elimination
+route that once built a projection for each.
 """
 
+import pytest
 from test_groups import reference_cokernel_map
 from wittkit import witt
-from wittkit.groups import TRIVIAL, Z, GroupMap, SymGroup, cokernel_map, free
+from wittkit.groups import TRIVIAL, Z, GroupMap, SymGroup, cokernel, free, from_counts
 from wittkit.spaces import SpaceDescriptor, make_curve, picard, require_kind
 from wittkit.witt import (
     ODD_TWIST,
@@ -144,11 +145,59 @@ def test_karoubi_report_reads_the_table():
 
 
 def test_karoubi_cokernel_projections_match_reference(monkeypatch):
+    # per shift, the cokernels of im F and of H, and one per F.H column
     maps = []
-    monkeypatch.setattr(witt, "cokernel_map",
-                        lambda f: maps.append(f) or cokernel_map(f))
+    monkeypatch.setattr(witt, "cokernel", lambda f: maps.append(f) or cokernel(f))
     for space, tw in CURVE_CASES:
         karoubi_check(space, tw)
-    assert len(maps) == 8 * len(CURVE_CASES)
+    assert len(maps) == sum(8 + 2 * sum(map(len, _karoubi_case(space, tw)[3]))
+                            for space, tw in CURVE_CASES)
     for f in maps:
-        assert cokernel_map(f) == reference_cokernel_map(f), f
+        assert cokernel(f) == reference_cokernel_map(f)[0], f
+
+
+# One-entry corruptions of a curve case of ``witt._KAROUBI_CURVES`` on a genus-3
+# curve: the twist, the part of the case (1 the columns of im F, 2 the rows H
+# touches, 3 the F.H columns at even and odd shifts), the shift, the entry as
+# the table has it, the corrupted entry, and the failures of each node that
+# fails, keyed by shift. Every label but ``divisible-rank`` fires here.
+CORRUPTIONS = (
+    (ODD_TWIST, 3, 1, ((0, 1),), ((1, 0),), {1: ("fh-lattice",), 3: ("fh-lattice",)}),
+    (ODD_TWIST, 3, 0, ((2, 1),), ((1, 1),), {0: ("fh-lattice",), 2: ("fh-lattice",)}),
+    (ODD_TWIST, 2, 0, ((1, 0),), ((2, 0),),
+     {0: ("w-cokernel", "rank2-identity", "split-flag")}),
+    (ODD_TWIST, 1, 1, ((0, 1),), ((1, 1),), {1: ("fh-lattice",), 2: ("exact",)}),
+    (TRIVIAL_TWIST, 2, 1, ((2,),), ((4,),), {1: ("w-cokernel",)}),
+    (TRIVIAL_TWIST, 2, 0, ((1,),), ((2,),),
+     {0: ("exact", "w-cokernel", "rank2-identity", "split-flag")}),
+    (TRIVIAL_TWIST, 3, 1, ((2,),), ((1,),), {3: ("fh-lattice",)}),
+    (TRIVIAL_TWIST, 3, 1, ((2,),), ((3,),), {3: ("fh-lattice",)}),
+)
+
+
+def _failures(report) -> dict:
+    return {n.shift: n.failures for n in report.nodes if n.failures}
+
+
+@pytest.mark.parametrize("tw, part, shift, old, new, want", CORRUPTIONS)
+def test_a_corrupted_table_entry_fails_its_checks(monkeypatch, tw, part, shift, old, new, want):
+    case = witt._KAROUBI_CURVES[tw]
+    assert case[part][shift] == old
+    entries = list(case[part])
+    entries[shift] = new
+    corrupted = case[:part] + (tuple(entries),) + case[part + 1:]
+    monkeypatch.setitem(witt._KAROUBI_CURVES, tw, corrupted)
+    report = karoubi_check(make_curve(True, 3), tw)
+    assert not report.passed
+    assert _failures(report) == want
+
+
+def test_a_gw_row_without_the_jacobian_fails_the_divisible_rank(monkeypatch):
+    row = witt._gw_row
+    monkeypatch.setattr(witt, "_gw_row", lambda space, tw: tuple(
+        [from_counts(g.free_rank, len(g.torsion)) for g in row(space, tw)]))
+    curve = make_curve(True, 3)
+    assert _failures(karoubi_check(curve, TRIVIAL_TWIST)) == {
+        1: ("divisible-rank",), 3: ("divisible-rank", "split-flag")}
+    assert _failures(karoubi_check(curve, ODD_TWIST)) == {
+        1: ("divisible-rank", "split-flag"), 3: ("divisible-rank", "split-flag")}

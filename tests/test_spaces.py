@@ -242,6 +242,10 @@ def test_make_surface_rejects_bad_data():
     with pytest.raises(InconsistentDescriptor, match="ch2"):
         make_surface(False, (Z, TRIVIAL, Z, TRIVIAL, TRIVIAL), 0, 1, 1,
                      (), ((1,),))
+    # a divisible summand is Picard data, never a cohomology group
+    with pytest.raises(InconsistentDescriptor):
+        make_surface(True, (Z, TRIVIAL, Z, TRIVIAL, divisible(1)), 0, 1, 1,
+                     ((1,),), ((1,),))
 
 
 def test_s1_default_is_restricted_composite():
@@ -334,6 +338,8 @@ def test_singular_h_tables():
     assert singular_h(p2, 3, MOD2) == TRIVIAL
     with pytest.raises(DegreeOutOfRange):
         singular_h(torus, 3, INTEGRAL)
+    with pytest.raises(ValueError):
+        singular_h(make_point(), 0, "bogus")
     with pytest.raises(DegreeOutOfRange):
         etale_h(make_point(), 1)
 

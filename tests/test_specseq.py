@@ -161,6 +161,8 @@ def test_page_validation():
 
     with pytest.raises(MalformedPage):
         BigradedPage(entries={(0, 0): divisible(2)}, r=2, convention=PARDON)
+    with pytest.raises(MalformedPage):
+        BigradedPage(entries={(0, 0): "Z"}, r=2, convention=COHOMOLOGICAL)
 
 
 # Malformed pages a user can hand in: each is refused with MalformedPage, not
