@@ -85,3 +85,7 @@ class InvariantViolation(WittkitError):
     """An internal cross-check failed: a computed group broke a proven invariant."""
 
     signal = "invariant-violation"
+
+
+class NotAClass(RenderParseError, ValueError):
+    """A ring element or a list of Chern classes is not a class of the degree it stands for."""

@@ -314,10 +314,11 @@ def elementary_two(rank: int) -> SymGroup:
 def from_counts(free_rank: int, twos: int, div: int = 0) -> SymGroup:
     """Z^free_rank + (Z/2)^twos + D(div) from its counts. A chain of 2's is
     valid by construction, so no factor is checked; a negative count is refused."""
-    if min(free_rank, twos, div) < 0:
+    if free_rank < 0 or twos < 0 or div < 0:
         raise ValueError("negative rank in SymGroup")
     g = object.__new__(SymGroup)
-    vars(g).update(free_rank=free_rank, torsion=(2,) * twos, divisible_rank=div)
+    fields = g.__dict__
+    fields["free_rank"], fields["torsion"], fields["divisible_rank"] = free_rank, (2,) * twos, div
     return g
 
 
@@ -362,8 +363,8 @@ def direct_sum_all(groups) -> SymGroup:
 
 
 def even_count(g: SymGroup) -> int:
-    """Number of invariant factors of even order."""
-    return sum(1 for d in g.torsion if d % 2 == 0)
+    """Number of invariant factors of even order: all of them less the odd ones."""
+    return len(g.torsion) - sum(map(mod, g.torsion, repeat(2))) if g.torsion else 0
 
 
 def mod2_generators(g: SymGroup) -> tuple:
@@ -588,6 +589,11 @@ def homology_at(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
     """
     if f is not None and g is not None and not composite_is_zero(f, g):
         raise ValueError("homology undefined: composite is not zero")
+    return _homology(f, g)
+
+
+def _homology(f: GroupMap | None, g: GroupMap | None) -> SymGroup:
+    """``homology_at`` past its test of the composite, which the caller has made."""
     b = f.codomain if f is not None else g.domain
     n = b.ngens
     c = g.codomain if g is not None else TRIVIAL
@@ -637,17 +643,7 @@ def check_exact(maps) -> ExactnessReport:
     for i in range(len(maps) - 1):
         if maps[i].codomain != maps[i + 1].domain:
             raise ShapeMismatch("maps %d and %d are not composable" % (i, i + 1))
-    homs = []
-    first = None
-    for i in range(len(maps) - 1):
-        f, g = maps[i], maps[i + 1]
-        if not composite_is_zero(f, g):
-            homs.append(None)
-            if first is None:
-                first = i + 1
-            continue
-        h = homology_at(f, g)
-        homs.append(h)
-        if not h.is_trivial and first is None:
-            first = i + 1
-    return ExactnessReport(first is None, first, tuple(homs))
+    homs = tuple([_homology(f, g) if composite_is_zero(f, g) else None
+                  for f, g in zip(maps, maps[1:])])
+    first = next((i for i, h in enumerate(homs, 1) if h is None or not h.is_trivial), None)
+    return ExactnessReport(first is None, first, homs)

@@ -40,7 +40,7 @@ from .spaces import (
     sq2_integral,
 )
 from .specseq import KO_POINT as _KO_POINT, ahss_ko
-from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, thom_row, w_row
+from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, minus_point_row, thom_row, w_row
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +48,19 @@ from .witt import ODD_TWIST, TRIVIAL_TWIST, check_twist, minus_point, thom_row, 
 
 
 def _wedge(space: SpaceDescriptor, n: int) -> SymGroup:
-    """KO^n of a point or a curve: the sum over p of b_p copies of KO^(n-p)
-    of a point, whose entries are Z, Z/2 or 0."""
-    free_rank = twos = 0
+    """KO^n of a point or a curve, read off ``_wedge_row``."""
+    return _wedge_row(space)[n % 8]
+
+
+def _wedge_row(space: SpaceDescriptor) -> tuple:
+    """KO^0..KO^7 of a point or a curve from one read of its Betti numbers: KO^n is
+    the sum over p of b_p copies of KO^(n-p) of a point, whose entries are Z, Z/2 or 0."""
+    free_ranks, twos = [0] * 8, [0] * 8
     for p, b in enumerate(betti(space)):
-        g = _KO_POINT[(n - p) % 8]
-        free_rank += b * g.free_rank
-        twos += b * len(g.torsion)
-    return from_counts(free_rank, twos)
+        for n, g in enumerate(_KO_POINT):  # b copies of KO^n of a point, in KO^(n+p)
+            free_ranks[(n + p) % 8] += b * g.free_rank
+            twos[(n + p) % 8] += b * len(g.torsion)
+    return tuple(map(from_counts, free_ranks, twos))
 
 
 def ko_point(d: int) -> SymGroup:
@@ -77,31 +82,24 @@ def ko_curve_reduced(space: SpaceDescriptor, d: int) -> SymGroup:
 # KO/K quotients
 
 
-def _kok_count(h_int: tuple, sq2_rank: int, i: int) -> int:
-    """Number of Z/2 summands of KO^2i/K of a complex of dimension at most
-    four, from its integral cohomology H^0.. (missing degrees count as 0) and
-    the rank of Sq2 from H^2(Z)/2 to H^4(Z/2)."""
+def _kok_counts(h_int: tuple, sq2_rank: int) -> tuple:
+    """Numbers of Z/2 summands of KO^0/K, KO^2/K, KO^4/K and KO^6/K of a complex of
+    dimension at most four, from its integral cohomology H^0.. (missing degrees count
+    as 0) and the rank of Sq2 from H^2(Z)/2 to H^4(Z/2)."""
     h = h_int + (TRIVIAL,) * (6 - len(h_int))
-    i %= 4
-    if i == 0:
-        # the torsion of H^3 counts the cokernel of H^2(Z)/2 -> H^2(Z/2)
-        return 1 + mod2_betti(h, 1) + even_count(h[3])
-    if i == 1:
-        return mod2_rank(h[2]) - sq2_rank + mod2_betti(h, 3)
-    if i == 2:
-        return mod2_betti(h, 4) - sq2_rank
-    return 0
+    # the torsion of H^3 counts the cokernel of H^2(Z)/2 -> H^2(Z/2)
+    return (1 + mod2_betti(h, 1) + even_count(h[3]),
+            mod2_rank(h[2]) - sq2_rank + mod2_betti(h, 3), mod2_betti(h, 4) - sq2_rank, 0)
 
 
-KOK_POINT = tuple([elementary_two(_kok_count((Z,), 0, i)) for i in range(4)])
+KOK_POINT = tuple(map(elementary_two, _kok_counts((Z,), 0)))
 
 
 def kok_row(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> tuple:
     """KO^0/K, KO^2/K, KO^4/K and KO^6/K of the space, from one rank of Sq2."""
     if check_twist(space, twist) == ODD_TWIST:
         return thom_row(kok_row, space, KOK_POINT)
-    rank = f2_rank(sq2_integral(space))
-    return tuple([elementary_two(_kok_count(space.h_int_table, rank, i)) for i in range(4)])
+    return tuple(map(elementary_two, _kok_counts(space.h_int_table, f2_rank(sq2_integral(space)))))
 
 
 def kok(space: SpaceDescriptor, shift: int, twist=TRIVIAL_TWIST) -> SymGroup:
@@ -235,8 +233,8 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
     if space.dim == 2 or tw == ODD_TWIST:
         ko = ko_red = (None,) * 8
     else:
-        ko = tuple([_wedge(space, d) for d in range(8)])
-        ko_red = tuple([minus_point(g, p, tw) for g, p in zip(ko, _KO_POINT)])
+        ko = _wedge_row(space)
+        ko_red = minus_point_row(ko, _KO_POINT, tw)
     quotients = kok_row(space, tw)
     return KoTable(
         kind=space.kind,
@@ -245,7 +243,7 @@ def ko_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KoTable:
         ko_reduced=ko_red,
         k0_graded=k_top_graded(space),
         kok=quotients,
-        kok_reduced=tuple([minus_point(g, p, tw) for g, p in zip(quotients, KOK_POINT)]),
+        kok_reduced=minus_point_row(quotients, KOK_POINT, tw),
     )
 
 

@@ -15,6 +15,7 @@ from math import gcd
 from .errors import (
     InvariantViolation,
     NoSuchTwist,
+    NotAClass,
     RenderParseError,
     RingMismatch,
     TruncationError,
@@ -74,23 +75,31 @@ def check_twist(space: SpaceDescriptor, twist) -> str:
 
 
 def minus_point(total: SymGroup, point: SymGroup, twist) -> SymGroup:
-    """``total`` minus the point summand ``point``, by count, as every reduced row is:
-    the space's Z, Z/2 and D summands minus the point's; a twisted group has no point
-    summand, and a negative count raises even under ``python -O``."""
+    """``total`` minus the point summand ``point``: ``minus_point_row`` on one shift."""
+    return minus_point_row((total,), (point,), twist)[0]
+
+
+def minus_point_row(totals, points, twist) -> tuple:
+    """``totals`` minus the point summands ``points``, shift by shift, by count, as every
+    reduced row is: the space's Z, Z/2 and D summands minus the point's; a twisted group
+    has no point summand, and a negative count raises even under ``python -O``."""
     if twist == ODD_TWIST:
-        return total
-    counts = (total.free_rank - point.free_rank, len(total.torsion) - len(point.torsion),
-              total.divisible_rank - point.divisible_rank)
-    if min(counts) < 0:
-        raise InvariantViolation("%s is not a summand of %s" % (render(point), render(total)))
-    return from_counts(*counts)
+        return tuple(totals)
+    row = []
+    for total, point in zip(totals, points):
+        counts = (total.free_rank - point.free_rank, len(total.torsion) - len(point.torsion),
+                  total.divisible_rank - point.divisible_rank)
+        if min(counts) < 0:
+            raise InvariantViolation("%s is not a summand of %s" % (render(point), render(total)))
+        row.append(from_counts(*counts))
+    return tuple(row)
 
 
 def thom_row(row_of, curve: SpaceDescriptor, point_row: tuple) -> tuple:
     """The row of ``curve`` under O(p), by the Thom isomorphism: shift i reads the
     untwisted ``row_of`` its Thom space at shift i + 1, minus ``point_row`` there."""
     row = row_of(thom_space(curve), TRIVIAL_TWIST)
-    return tuple([minus_point(row[i], point_row[i], TRIVIAL_TWIST) for i in (1, 2, 3, 0)])
+    return minus_point_row(row[1:] + row[:1], point_row[1:] + point_row[:1], TRIVIAL_TWIST)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +222,14 @@ def witt_table(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> WittTable:
         gw_row = gw_red = (None,) * 4
     else:
         gw_row = _gw_row(space, tw)
-        gw_red = tuple([minus_point(g, p, tw) for g, p in zip(gw_row, _GW_POINT)])
+        gw_red = minus_point_row(gw_row, _GW_POINT, tw)
     return WittTable(
         kind=space.kind,
         twist=tw,
         gw=gw_row,
         w=row,
         gw_reduced=gw_red,
-        w_reduced=tuple([minus_point(g, p, tw) for g, p in zip(row, _W_POINT)]),
+        w_reduced=minus_point_row(row, _W_POINT, tw),
         flags={"karoubi_split": list(_split_flags(space, tw))}
         if space.dim == 1 else {},
     )
@@ -338,8 +347,8 @@ def _hyperbolic_map(k_fg: SymGroup, shadow: SymGroup, rows: tuple) -> GroupMap:
 def karoubi_check(space: SpaceDescriptor, twist=TRIVIAL_TWIST) -> KaroubiReport:
     require_kind(space, "curve")
     tw = check_twist(space, twist)
-    gw_reds = [minus_point(g, p, tw) for g, p in zip(_gw_row(space, tw), _GW_POINT)]
-    w_reds = [minus_point(g, p, tw) for g, p in zip(_w_row(space, tw), _W_POINT)]
+    gw_reds = minus_point_row(_gw_row(space, tw), _GW_POINT, tw)
+    w_reds = minus_point_row(_w_row(space, tw), _W_POINT, tw)
     gw_fg = tuple([SymGroup(g.free_rank, g.torsion, 0) for g in gw_reds])
     coords, im_cols, touched, fh_cols = _karoubi_case(space, tw)
     k_fg = free(len(coords))
@@ -457,7 +466,7 @@ def element_degree(ring: RingContext, x):
     if not degs:
         return None
     if len(degs) > 1:
-        raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
+        raise NotAClass("element is not homogeneous: degrees %s" % sorted(degs))
     return degs.pop()
 
 
@@ -587,11 +596,11 @@ def sw_metabolic_total(lagrangian_chern, rank: int, ring: RingContext,
     if not chern or chern[0] != ring.unit():
         raise ValueError("lagrangian Chern classes must start with c_0 = 1")
     if len(chern) - 1 > rank:
-        raise ValueError("a rank-%d bundle has no c_%d" % (rank, len(chern) - 1))
+        raise NotAClass("a rank-%d bundle has no c_%d" % (rank, len(chern) - 1))
     for j, c in enumerate(chern):
         deg = element_degree(ring, c)
         if deg is not None and deg != 2 * j:
-            raise ValueError("c_%d must be homogeneous of degree %d" % (j, 2 * j))
+            raise NotAClass("c_%d must be homogeneous of degree %d" % (j, 2 * j))
     e = ring.zero() if complex else ring.minus_one
     out = [ring.zero() for _ in range(ring.max_degree + 1)]
     for j, cj in enumerate(chern):

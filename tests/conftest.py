@@ -1,7 +1,11 @@
 """Fixtures shared by several test modules."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import wittkit
 from wittkit import groups, specseq
 
 
@@ -39,6 +43,34 @@ def f2_echelons(monkeypatch):
         return core(vectors)
 
     monkeypatch.setattr(groups, "_f2_echelon", counted)
+    return calls
+
+
+@pytest.fixture
+def groups_built(monkeypatch):
+    """A list that gains one entry per ``SymGroup`` built during the test.
+
+    ``SymGroup(...)`` runs ``__post_init__``; ``from_counts`` builds a group
+    without it, so it is wrapped under every name that binds it in a module of
+    the package. Clear the list between calls counted apart.
+    """
+    calls = []
+    init, core = groups.SymGroup.__post_init__, groups.from_counts
+
+    def counted_init(self):
+        calls.append(None)
+        return init(self)
+
+    def counted(*args):
+        calls.append(None)
+        return core(*args)
+
+    monkeypatch.setattr(groups.SymGroup, "__post_init__", counted_init)
+    for info in pkgutil.iter_modules(wittkit.__path__):
+        module = importlib.import_module("wittkit." + info.name)
+        for name, value in list(vars(module).items()):
+            if value is core:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 

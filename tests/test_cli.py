@@ -348,6 +348,18 @@ def test_sw_rejects_nonhomogeneous_chern():
     assert code == 1 and "degree 2" in err
 
 
+@pytest.mark.parametrize("chern, message", [
+    ("h^2", "c_1 must be homogeneous of degree 2"),
+    ("h;h;h;h", "a rank-2 bundle has no c_4"),
+    ("h+h^2", "element is not homogeneous: degrees [2, 4]"),
+])
+def test_sw_refuses_a_chern_text_that_is_no_class_with_a_signal(chern, message):
+    # a --chern text that parses but is not a class of the right degree is a
+    # render-parse refusal, as an unknown basis label is
+    code, out, err = go("sw", "--ring", "projective?d=3", "--rank", "2", "--chern", chern)
+    assert (code, out, err) == (1, "", "error [render-parse]: %s\n" % message)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -5,7 +5,9 @@ twist class, a guard that keeps bare ``assert`` statements (stripped by
 ``python -O``) out of the package, one that keeps each module's private
 names to itself, one that keeps out imports a module never reads, one that
 keeps the tables from branching on the kind label instead of the data it is
-read off, and one that keeps out of the package what only the tests reach. The package loads each module on
+read off, one that keeps out of the package what only the tests reach, and
+one that parses every file with the grammar of the oldest Python that
+``pyproject.toml`` admits. The package loads each module on
 the first use of one of its names: what a fresh import loads is checked in
 a fresh interpreter, since the suite's own imports load every module first.
 """
@@ -14,6 +16,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -295,3 +298,28 @@ def test_the_package_sees_a_rebound_function(monkeypatch):
     monkeypatch.undo()
     assert wittkit.witt_table is original
     assert "witt_table" not in vars(wittkit)
+
+
+def _python_floor() -> tuple:
+    """(major, minor) of ``requires-python`` in pyproject.toml, read by pattern:
+    ``tomllib`` is not in the standard library below Python 3.11."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.MULTILINE)
+    assert found, "pyproject.toml states no requires-python floor"
+    return int(found.group(1)), int(found.group(2))
+
+
+def test_every_file_parses_at_the_python_floor():
+    # the suite may run on a newer interpreter than the floor; parsing with the
+    # floor's grammar refuses syntax it lacks, such as except* below 3.11
+    floor = _python_floor()
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [path for part in ("src/wittkit", "tests", "bench")
+             for path in sorted((root / part).glob("*.py"))]
+    assert len(paths) > 30, paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+    if floor < (3, 11):
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)

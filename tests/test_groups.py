@@ -1527,6 +1527,23 @@ def test_homology_requires_zero_composite():
         homology_at(f, f)
 
 
+def test_check_exact_tests_each_composite_once(monkeypatch):
+    # check_exact reads each node's homology past the test of its composite
+    # that it has made; homology_at still makes that test for every caller
+    calls = []
+    core = wittkit.groups.composite_is_zero
+    monkeypatch.setattr(wittkit.groups, "composite_is_zero",
+                        lambda f, g: calls.append(None) or core(f, g))
+    rep = check_exact([zero_map(TRIVIAL, Z), GroupMap(Z, Z, ((2,),)),
+                       GroupMap(Z, cyclic(2), ((1,),)), zero_map(cyclic(2), TRIVIAL)])
+    assert rep.ok and len(calls) == 3
+    calls.clear()
+    f = GroupMap(Z, Z, ((1,),))
+    with pytest.raises(ValueError, match="composite is not zero"):
+        homology_at(f, f)
+    assert len(calls) == 1
+
+
 def random_unimodular(n, rng):
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n + 2):

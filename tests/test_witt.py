@@ -24,6 +24,7 @@ from wittkit.errors import (
     InconsistentDescriptor,
     InvariantViolation,
     NoSuchTwist,
+    NotAClass,
     RenderParseError,
     RingMismatch,
     TruncationError,
@@ -60,6 +61,7 @@ from wittkit.witt import (
     gw_point,
     karoubi_check,
     minus_point,
+    minus_point_row,
     normalize_twist,
     projective_space_ring,
     ring_mul,
@@ -650,16 +652,17 @@ def test_metabolic_validation():
 
 def reference_sw_metabolic_total(lagrangian_chern, rank, ring, complex):
     """sw_metabolic_total as it stood before its walk over m was bounded by the
-    ring's top degree: every m = 0..rank - j, parity from the binomial itself."""
+    ring's top degree: every m = 0..rank - j, parity from the binomial itself.
+    Its refusals of a Chern class raise the library's ``NotAClass``."""
     chern = [tuple(c) for c in lagrangian_chern]
     if not chern or chern[0] != ring.unit():
         raise ValueError("lagrangian Chern classes must start with c_0 = 1")
     if len(chern) - 1 > rank:
-        raise ValueError("a rank-%d bundle has no c_%d" % (rank, len(chern) - 1))
+        raise NotAClass("a rank-%d bundle has no c_%d" % (rank, len(chern) - 1))
     for j, c in enumerate(chern):
         deg = element_degree(ring, c)
         if deg is not None and deg != 2 * j:
-            raise ValueError("c_%d must be homogeneous of degree %d" % (j, 2 * j))
+            raise NotAClass("c_%d must be homogeneous of degree %d" % (j, 2 * j))
     e = ring.zero() if complex else ring.minus_one
     out = [ring.zero() for _ in range(ring.max_degree + 1)]
     for j, cj in enumerate(chern):
@@ -808,6 +811,34 @@ def test_elimination_count_does_not_grow(eliminations, name, call, most):
     assert floor <= len(eliminations) <= most, (name, len(eliminations))
 
 
+# SymGroups built per call of witt_table, ko_table and compare_w_kok, counted
+# at SymGroup.__post_init__ and at every binding of from_counts (the
+# groups_built fixture). Untwisted on a curve each table builds one group per
+# group it returns, and witt_table one more: the Picard group, whose divisible
+# rank is the Jacobian's. Under O(p) a reduced row is the row itself, and a
+# twisted W or KO/K row builds its Thom space's row and subtracts the point
+# from it, 4 + 4 groups. On k3?rho=10 the comparison also subtracts the point
+# at shift 0 on both sides, to measure the mismatch that rho < b2 leaves. A
+# change that builds more must say why; one that builds fewer lowers its row.
+GROUPS_BUILT = (
+    ("curve?g=20", lambda: make_curve(True, 20), "trivial", 17, 24, 8),
+    ("curve?g=20 O(p)", lambda: make_curve(True, 20), "O(p)", 13, 8, 16),
+    ("k3?rho=10", lambda: catalog_get("k3?rho=10").descriptor, "trivial", 8, 8, 10),
+)
+
+
+@pytest.mark.parametrize("name, make, tw, witt, ko, compare", GROUPS_BUILT,
+                         ids=[row[0] for row in GROUPS_BUILT])
+def test_groups_built_per_table(groups_built, name, make, tw, witt, ko, compare):
+    space = make()
+    counts = []
+    for table in (witt_table, ko_table, compare_w_kok):
+        groups_built.clear()
+        table(space, tw)
+        counts.append(len(groups_built))
+    assert counts == [witt, ko, compare], (name, counts)
+
+
 # Smith normal forms per table on catalog surfaces, counted as above. Every
 # surface table is read off summand counts, W by w_surface and KO/K by one
 # rank formula, so none runs an elimination; the karoubi_check rows above
@@ -877,6 +908,26 @@ def test_minus_point_is_cancel_point_on_count_built_groups(total_counts, point_c
             return (exc.signal, str(exc))
 
     assert result(minus_point) == result(reference_cancel_point)
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 3)),
+                          st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))),
+                max_size=8),
+       st.sampled_from(TW))
+def test_row_subtraction_is_minus_point_shift_by_shift(pairs, tw):
+    # the same row, or the InvariantViolation of its first shift that is not a
+    # summand, with the same message; a twisted row is its own reduced row
+    totals = tuple([from_counts(*counts) for counts, _ in pairs])
+    points = tuple([from_counts(*counts) for _, counts in pairs])
+
+    def result(call):
+        try:
+            return call()
+        except InvariantViolation as exc:
+            return (exc.signal, str(exc))
+
+    by_shift = result(lambda: tuple([minus_point(t, p, tw) for t, p in zip(totals, points)]))
+    assert result(lambda: minus_point_row(totals, points, tw)) == by_shift
 
 
 @pytest.mark.parametrize("name", ["point", "p1", "curve?g=3", "affine_curve?g=1&n=2",
